@@ -93,6 +93,20 @@ class BFSTreeAlgorithm(NodeAlgorithm):
         return (self.parent, self.depth)
 
 
+def _bfs_outputs(vertices, parent, depth) -> list:
+    """``(parent vertex, depth)`` per reached row, ``None`` elsewhere —
+    built at C speed from ``tolist`` ints, not per-row numpy scalars.
+    Dense identity labellings (a streamed topology's ``range(n)``) skip
+    the vertex lookup."""
+    parents = parent.tolist()
+    if vertices != range(len(vertices)):
+        parents = list(map(vertices.__getitem__, parents))
+    out = list(zip(parents, depth.tolist()))
+    for i in np.flatnonzero(depth < 0).tolist():
+        out[i] = None
+    return out
+
+
 class ColumnarBFSTree(ColumnarAlgorithm):
     """BFS tree construction as a round-vectorized columnar program.
 
@@ -148,11 +162,7 @@ class ColumnarBFSTree(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [
-            None if self.depth[i] < 0
-            else (ctx.vertices[int(self.parent[i])], int(self.depth[i]))
-            for i in range(ctx.n)
-        ]
+        return _bfs_outputs(ctx.vertices, self.parent, self.depth)
 
 
 _BFS_VARIANTS = {"object": BFSTreeAlgorithm, "columnar": ColumnarBFSTree}
@@ -347,11 +357,7 @@ class ColumnarRestartingBFS(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [
-            None if self.depth[i] < 0
-            else (ctx.vertices[int(self.parent[i])], int(self.depth[i]))
-            for i in range(ctx.n)
-        ]
+        return _bfs_outputs(ctx.vertices, self.parent, self.depth)
 
 
 _RESTARTING_BFS_VARIANTS = {
@@ -453,7 +459,7 @@ class ColumnarFloodValue(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [None if v < 0 else int(v) for v in self.received]
+        return [None if v < 0 else v for v in self.received.tolist()]
 
 
 class ColumnarVarFlood(ColumnarAlgorithm):

@@ -57,7 +57,9 @@ object-plane originals (``LubyMISAlgorithm`` et al.) end to end.
 
 Ordering contract: a round's inbox arrays are grouped by receiver
 (CSR-segment order) and, within a receiver, ordered by emission order —
-a stable sort of the round's traffic by receiver.  All reductions except
+a stable sort of the round's traffic by receiver.  Dense broadcast
+rounds reach the same order without sorting, by filtering a transpose
+cached per topology (:func:`_deliver_broadcast`).  All reductions except
 ``argmin``/``argmax`` are order-insensitive; the arg reductions break
 ties toward the earliest emitted message.
 """
@@ -159,10 +161,14 @@ class ColumnarInbox:
         self._receivers = None
 
     @classmethod
-    def empty(cls, n: int, spec: ColumnarSpec) -> "ColumnarInbox":
+    def empty(cls, n: int, spec: ColumnarSpec,
+              index_dtype=np.int64) -> "ColumnarInbox":
+        """A round with no traffic.  ``senders`` carries the topology's
+        ``index_dtype`` — the dtype non-empty inboxes inherit from the
+        emissions — so narrowed runs see one sender dtype every round."""
         return cls(
             n,
-            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=index_dtype),
             np.zeros(n + 1, dtype=np.int64),
             {name: np.empty(0, dtype=dtype) for name, dtype in spec.fields},
             {name: np.empty(0, dtype=np.int64) for name in spec.var_names},
@@ -401,7 +407,7 @@ class ColumnarContext:
         self.inputs = inputs_list
         self.rng = ExactRng(inputs_list) if rng is None else rng
         self.round_number = 0
-        self.inbox = ColumnarInbox.empty(topology.n, spec)
+        self.inbox = ColumnarInbox.empty(topology.n, spec, self._index_dtype)
         self.halted = np.zeros(topology.n, dtype=bool)
         self._index_of = topology.index_of
         self._spec = spec
@@ -665,14 +671,65 @@ class ColumnarAlgorithm:
         return [None] * ctx.n
 
 
+def _stable_receiver_order(receivers: np.ndarray, n: int) -> np.ndarray:
+    """Stable argsort of receiver ids ``< n`` — the receiver sort behind
+    every inbox (the ordering contract of the module docstring) and
+    behind each plane's cached :func:`broadcast_transpose`.
+
+    numpy's stable sort is an O(M) radix sort for ≤16-bit ints but a
+    comparison sort for wider types (~9× slower at these sizes), so
+    graphs up to 2**16 vertices sort 16-bit keys and larger ones (grids,
+    streamed topologies) LSD-compose two stable 16-bit passes.
+
+    >>> _stable_receiver_order(np.array([2, 0, 2, 1]), 3).tolist()
+    [1, 3, 0, 2]
+    """
+    if n <= 0xFFFF:
+        return np.argsort(receivers.astype(np.uint16), kind="stable")
+    if n <= 0xFFFFFFFF:
+        order = np.argsort(
+            (receivers & 0xFFFF).astype(np.uint16), kind="stable"
+        )
+        high = (receivers >> 16)[order].astype(np.uint16)
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(receivers, kind="stable")  # pragma: no cover - > 2**32
+
+
+def broadcast_transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """The receiver-sorted full fan-out of a CSR topology.
+
+    If every vertex broadcast once, in ascending order, the round's
+    messages stably sorted by receiver would carry the senders
+    ``t_senders`` (in the topology's index dtype), receiver ``r``'s
+    segment being ``t_senders[t_indptr[r]:t_indptr[r+1]]`` — the
+    receivers' in-CSR (int64 offsets; equal to ``indptr`` when the
+    topology is symmetric).
+
+    >>> import networkx as nx
+    >>> from repro.congest.runtime.compile import compile_topology
+    >>> topology = compile_topology(nx.star_graph(2))  # 0-1, 0-2
+    >>> t_senders, t_indptr = broadcast_transpose(
+    ...     topology.indptr, topology.indices)
+    >>> t_senders.tolist(), t_indptr.tolist()
+    ([1, 2, 0, 0], [0, 2, 3, 4])
+    """
+    n = len(indptr) - 1
+    degrees = indptr[1:].astype(np.int64) - indptr[:-1]
+    senders = np.repeat(np.arange(n, dtype=indices.dtype), degrees)
+    t_senders = senders[_stable_receiver_order(indices, n)]
+    return t_senders, _cumsum0(np.bincount(indices, minlength=n))
+
+
 class CompiledDeliveryPlane:
     """Columnar-plane arrays compiled lazily per topology (cached on the
     :class:`~repro.congest.engine.CompiledTopology`, so they share its
-    per-graph memoization and invalidation)."""
+    per-graph memoization and invalidation).  The
+    :func:`broadcast_transpose` is built on the first round dense enough
+    to take :func:`_deliver_broadcast`."""
 
     __slots__ = (
         "degrees", "edge_senders", "edge_keys", "repr_rank",
-        "neighbor_index_sets",
+        "neighbor_index_sets", "_csr", "_transpose",
     )
 
     def __init__(self, topology) -> None:
@@ -694,6 +751,16 @@ class CompiledDeliveryPlane:
         self.neighbor_index_sets = [
             frozenset(t) for t in topology.neighbor_index_tuples
         ]
+        self._csr = (topology.indptr, topology.indices)
+        self._transpose = None
+
+    @property
+    def broadcast_transpose(self) -> tuple:
+        """``(t_senders, t_indptr)`` — see :func:`broadcast_transpose`."""
+        transpose = self._transpose
+        if transpose is None:
+            transpose = self._transpose = broadcast_transpose(*self._csr)
+        return transpose
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +780,79 @@ def _raise_bandwidth(topology, sender, receiver, bits, bandwidth_bits):
     )
 
 
+def _account_broadcast(topology, senders, bits, deg, limit, bandwidth_bits,
+                       acc):
+    """Validate and account one broadcast group per *sender*: each of
+    ``senders[k]``'s ``deg[k]`` copies costs ``bits[k]``.  Messages are
+    sender-major, so the first oversized message is the first copy of
+    the first oversized sender with a neighbour; every message of the
+    senders before it is accounted before the raise, exactly as the
+    reference executor's per-message loop leaves the round.  Zero-degree
+    senders send nothing and never raise."""
+    cap = limit if isinstance(limit, int) else limit[senders]
+    over = (bits > cap) & (deg > 0)
+    if over.any():
+        bad = int(np.argmax(over))
+        if bad:
+            acc.add(senders[:bad], bits[:bad], copies=deg[:bad])
+        sender = int(senders[bad])
+        _raise_bandwidth(
+            topology, sender, int(topology.indices[topology.indptr[sender]]),
+            int(bits[bad]), bandwidth_bits,
+        )
+    acc.add(senders, bits, copies=deg)
+
+
+#: Cost model of the broadcast kernel: :func:`_deliver_broadcast` scans
+#: all 2m directed edges; the sort path scans the round's fan-out once
+#: per 16-bit radix pass of :func:`_stable_receiver_order` (one pass up
+#: to 2**16 vertices, two beyond).  A broadcast takes the kernel once
+#: fan-out × passes reaches this share of 2m — the measured crossover
+#: (expander grids of 2**15 rows: ~1/4 at one pass; power-law graphs of
+#: 2**18 vertices: ~1/8 at two passes).
+_TRANSPOSE_SHARE_PER_PASS = 1 / 4
+
+
+def _deliver_broadcast(topology, plane, spec, senders, columns, deg, limit,
+                       bandwidth_bits, acc):
+    """Deliver a round that is one fixed-width broadcast group from
+    strictly increasing ``senders`` — sort-free, from the plane's cached
+    :func:`broadcast_transpose`.
+
+    The round's messages are the full fan-out's messages whose sender is
+    in ``senders``, in the same relative order; a stable sort of a
+    subsequence is that subsequence of the stable sort.  So the inbox is
+    ``t_senders`` filtered by one sender mask: no ``np.repeat`` fan-out
+    and no argsort, byte-identical to the sort path.  Each column is the
+    senders' values scattered by vertex, then gathered per message.
+    """
+    n = topology.n
+    _account_broadcast(
+        topology, senders, spec.bits_of(columns), deg, limit,
+        bandwidth_bits, acc,
+    )
+    t_senders, t_indptr = plane.broadcast_transpose
+    mask = np.zeros(n, dtype=bool)
+    mask[senders] = True
+    keep = mask.take(t_senders)
+    # take/compress build what fancy/boolean indexing would, faster on
+    # index arrays of 10^6 elements.
+    inbox_senders = np.compress(keep, t_senders)
+    # Kept-message prefix counts sampled at the in-CSR offsets are the
+    # inbox offsets.  They count at most 2m, which the index dtype holds
+    # (narrowing requires it), and int32 sums run ~2x faster.
+    kept = np.empty(len(keep) + 1, dtype=t_senders.dtype)
+    kept[0] = 0
+    np.cumsum(keep, dtype=t_senders.dtype, out=kept[1:])
+    inbox_indptr = kept.take(t_indptr).astype(np.int64, copy=False)
+    inbox_columns = {}
+    for name, dtype in spec.fields:
+        full = np.empty(n, dtype=dtype)
+        full[senders] = columns[name]
+        inbox_columns[name] = full.take(inbox_senders)
+    return ColumnarInbox(n, inbox_senders, inbox_indptr, inbox_columns)
+
+
 def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                   fault_state=None, round_number=0):
     """Validate, account, and deliver one round's emissions — pure array
@@ -720,11 +860,17 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     messages validated before the offending one are accounted (matching
     the reference executor's partial-round counting) before the raise.
 
-    ``acc`` is an accountant (``add(senders, bits)`` — e.g.
+    ``acc`` is an accountant (``add(senders, bits, copies=None)`` — e.g.
     :class:`~repro.congest.metrics.ScalarAccountant`, or the per-trial
     grid accountant).  ``limit``/``bandwidth_bits`` are scalars for a
     single run, or per-*vertex* int64 tables for grid execution (each
     trial block carries its own budget).
+
+    A round of exactly one fixed-width broadcast group from strictly
+    increasing senders, with no fault plan and a fan-out large enough
+    for the ``_TRANSPOSE_SHARE_PER_PASS`` cost model, takes the
+    sort-free :func:`_deliver_broadcast`.  Every other round fans out,
+    validates, and stably sorts its traffic by receiver.
 
     ``fault_state`` optionally detours the round's validated traffic
     through :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
@@ -735,6 +881,24 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     n = topology.n
     names = spec.names
     var_names = spec.var_names
+    degrees = plane.degrees
+    if (
+        fault_state is None and len(groups) == 1 and groups[0][1] is None
+        and not var_names
+    ):
+        senders, _receivers, columns, _var = groups[0]
+        deg = degrees[senders]
+        total = int(deg.sum())
+        passes = 1 if n <= 0xFFFF else 2
+        if (
+            total and total * passes
+            >= _TRANSPOSE_SHARE_PER_PASS * len(topology.indices)
+            and bool((senders[1:] > senders[:-1]).all())
+        ):
+            return _deliver_broadcast(
+                topology, plane, spec, senders, columns, deg, limit,
+                bandwidth_bits, acc,
+            )
     scalar_limit = isinstance(limit, int)
     senders_parts: list = []
     receivers_parts: list = []
@@ -743,23 +907,17 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     var_len_parts: dict = {name: [] for name in var_names}
     indptr = topology.indptr
     indices = topology.indices
-    degrees = plane.degrees
     for senders, receivers, columns, var_data in groups:
         if receivers is None:
             # Broadcast: fan each sender's field values over its CSR
-            # neighbour segment.  Adjacency holds by construction.
+            # neighbour segment.  Adjacency holds by construction; the
+            # copies of one sender share one size, so validation and
+            # accounting run per sender.
             deg = degrees[senders]
-            total = int(deg.sum())
-            if total == 0:
+            if not deg.any():
                 continue
-            seg_ids = np.repeat(
-                np.arange(len(senders), dtype=np.int64), deg
-            )
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                _cumsum0(deg)[:-1], deg
-            )
-            message_receivers = indices[indptr[senders][seg_ids] + offsets]
-            message_senders = senders[seg_ids]
+            message_receivers = _ragged_gather(indices, indptr[senders], deg)
+            message_senders = np.repeat(senders, deg)
             message_columns = {
                 name: np.repeat(columns[name], deg) for name in names
             }
@@ -780,20 +938,10 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                         msg_lengths,
                     )
                     per_sender_var[name] = (pool, starts)
-            # All of a sender's copies share one size: size per sender,
-            # then fan out (deg× less bit-length work than per message).
-            bits = np.repeat(spec.bits_of(columns, per_sender_var), deg)
-            cap = limit if scalar_limit else limit[message_senders]
-            over = bits > cap
-            if over.any():
-                bad = int(np.argmax(over))
-                if bad:
-                    acc.add(message_senders[:bad], bits[:bad])
-                _raise_bandwidth(
-                    topology, int(message_senders[bad]),
-                    int(message_receivers[bad]), int(bits[bad]),
-                    bandwidth_bits,
-                )
+            _account_broadcast(
+                topology, senders, spec.bits_of(columns, per_sender_var),
+                deg, limit, bandwidth_bits, acc,
+            )
         else:
             # Unicast: one binary search validates every (sender,
             # receiver) pair against the sorted edge-key table.
@@ -851,7 +999,7 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                     int(message_receivers[bad_bandwidth]),
                     int(bits[bad_bandwidth]), bandwidth_bits,
                 )
-        acc.add(message_senders, bits)
+            acc.add(message_senders, bits)
         senders_parts.append(message_senders)
         receivers_parts.append(message_receivers)
         for name in names:
@@ -861,7 +1009,7 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             var_pool_parts[name].append(pool)
             var_len_parts[name].append(lengths)
     if not senders_parts and fault_state is None:
-        return ColumnarInbox.empty(n, spec)
+        return ColumnarInbox.empty(n, spec, indices.dtype)
     if senders_parts:
         all_senders = (
             senders_parts[0] if len(senders_parts) == 1
@@ -889,8 +1037,8 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
         # No fresh emissions this round, but a fault plan may still owe
         # matured delayed copies — feed empty fresh arrays through the
         # fate pass instead of early-returning an empty inbox.
-        all_senders = np.empty(0, dtype=np.int64)
-        all_receivers = np.empty(0, dtype=np.int64)
+        all_senders = np.empty(0, dtype=indices.dtype)
+        all_receivers = np.empty(0, dtype=indices.dtype)
         merged_columns = {name: np.empty(0, dtype=np.int64) for name in names}
         merged_var = {
             name: (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -904,24 +1052,10 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             )
         )
         if not len(all_senders):
-            return ColumnarInbox.empty(n, spec)
+            return ColumnarInbox.empty(n, spec, indices.dtype)
     # Stable sort by receiver: CSR-segmented inbox, emission order within
     # each receiver (the ordering contract of the module docstring).
-    # Receivers are < n, so small graphs sort 16-bit keys — numpy's
-    # stable sort is an O(M) radix sort for ≤16-bit ints but a
-    # comparison sort for wider types (~9× slower at these sizes).
-    # Grids past 2**16 rows (trial-major batches) keep the radix cost by
-    # LSD-composing two stable 16-bit passes.
-    if n <= 0xFFFF:
-        order = np.argsort(all_receivers.astype(np.uint16), kind="stable")
-    elif n <= 0xFFFFFFFF:
-        order = np.argsort(
-            (all_receivers & 0xFFFF).astype(np.uint16), kind="stable"
-        )
-        high = (all_receivers >> 16)[order].astype(np.uint16)
-        order = order[np.argsort(high, kind="stable")]
-    else:  # pragma: no cover - graphs beyond 2**32 vertices
-        order = np.argsort(all_receivers, kind="stable")
+    order = _stable_receiver_order(all_receivers, n)
     inbox_indptr = _cumsum0(np.bincount(all_receivers, minlength=n))
     inbox_columns = {}
     for (name, dtype) in spec.fields:
@@ -1155,5 +1289,4 @@ def execute_columnar(
         metrics=metrics, max_rounds=max_rounds,
         done=done, advance=advance, flush=flush,
     )
-    results = instance.outputs(ctx)
-    return {vertices[i]: results[i] for i in range(ctx.n)}
+    return dict(zip(vertices, instance.outputs(ctx)))

@@ -143,6 +143,15 @@ class ScalarAccountant:
     here) and :meth:`flush` exactly once on the way out — equivalent to
     the per-message ``record_message``/``record_edge_load`` interleaving
     of the reference executor, in three scalar updates per batch.
+    With ``copies``, row ``k`` stands for ``copies[k]`` messages of
+    ``bits[k]`` bits each (a broadcast accounted per sender, weighted by
+    degree); rows with no copies add nothing.
+
+    >>> import numpy as np
+    >>> acc = ScalarAccountant()
+    >>> acc.add(None, np.array([3, 9, 5]), copies=np.array([2, 0, 1]))
+    >>> acc.messages, acc.total_bits, acc.peak_bits
+    (3, 11, 5)
     """
 
     __slots__ = ("messages", "total_bits", "peak_bits")
@@ -152,9 +161,16 @@ class ScalarAccountant:
         self.total_bits = 0
         self.peak_bits = 0
 
-    def add(self, senders, bits) -> None:
-        self.messages += len(bits)
-        self.total_bits += int(bits.sum())
+    def add(self, senders, bits, copies=None) -> None:
+        if copies is None:
+            self.messages += len(bits)
+            self.total_bits += int(bits.sum())
+        else:
+            self.messages += int(copies.sum())
+            self.total_bits += int((bits * copies).sum())
+            bits = bits[copies > 0]
+            if not bits.size:
+                return
         peak = int(bits.max())
         if peak > self.peak_bits:
             self.peak_bits = peak

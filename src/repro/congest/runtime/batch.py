@@ -82,11 +82,12 @@ class Trial:
 class GridAccountant:
     """Per-trial deferred message/bit counters for one grid execution.
 
-    Same ``add(senders, bits)`` interface as
+    Same ``add(senders, bits, copies=None)`` interface as
     :class:`~repro.congest.metrics.ScalarAccountant`, but segmented by
     trial block: message counts and exact int64 bit sums come from
-    bincounts over each message's block index, and the per-trial peak is
-    recovered from a (trial × bit-size) occupancy bincount — all
+    bincounts over each message's block index (weighted by ``copies``
+    when a row stands for a sender's whole broadcast), and the per-trial
+    peak is recovered from a (trial × bit-size) occupancy bincount — all
     vectorized, no per-message Python.
     """
 
@@ -99,14 +100,23 @@ class GridAccountant:
         self.total_bits = np.zeros(grid.trials, dtype=np.int64)
         self.peak_bits = np.zeros(grid.trials, dtype=np.int64)
 
-    def add(self, senders: np.ndarray, bits: np.ndarray) -> None:
+    def add(self, senders: np.ndarray, bits: np.ndarray,
+            copies: np.ndarray | None = None) -> None:
+        if copies is not None:
+            live = copies > 0
+            senders, bits, copies = senders[live], bits[live], copies[live]
+            if not bits.size:
+                return
         trials = self._trial_of(senders)
-        counts = np.bincount(trials, minlength=self.trials)
-        self.messages += counts
         # Integer-valued float64 sums are exact far beyond any round's
-        # bit volume (< 2**53); the cumulative total stays int64.
+        # message or bit volume (< 2**53); the cumulative totals stay int64.
+        counts = np.bincount(
+            trials, weights=copies, minlength=self.trials
+        ).astype(np.int64, copy=False)
+        self.messages += counts
         self.total_bits += np.bincount(
-            trials, weights=bits, minlength=self.trials
+            trials, weights=bits if copies is None else bits * copies,
+            minlength=self.trials,
         ).astype(np.int64)
         width = int(bits.max()) + 1
         present = np.bincount(
@@ -361,7 +371,7 @@ def execute_grid(
     for t in range(grid.trials):
         block = grid.blocks[t]
         chunk = chunks[t]
-        outputs = {block.vertices[i]: chunk[i] for i in range(block.n)}
+        outputs = dict(zip(block.vertices, chunk))
         metrics = NetworkMetrics(
             rounds=int(rounds_of[t]),
             messages=int(acc.messages[t]),

@@ -378,12 +378,14 @@ class StreamDeliveryPlane:
     """Lazy columnar delivery arrays for a :class:`StreamTopology` —
     the contract of :class:`~repro.congest.columnar.CompiledDeliveryPlane`
     with every O(m)/O(n·objects) table deferred: ``edge_keys`` builds on
-    the first unicast emission, ``neighbor_index_sets`` (Python
-    frozensets — O(n) objects) only if the columnar *reference* executor
-    runs.  Broadcast workloads at 10^6 nodes touch neither."""
+    the first unicast emission, ``broadcast_transpose`` on the first
+    round dense enough for the sort-free broadcast kernel,
+    ``neighbor_index_sets`` (Python frozensets — O(n) objects) only if
+    the columnar *reference* executor runs.  Broadcast workloads at 10^6
+    nodes never build the edge keys or the sets."""
 
     __slots__ = ("degrees", "repr_rank", "_topology", "_edge_keys",
-                 "_neighbor_index_sets")
+                 "_neighbor_index_sets", "_transpose")
 
     def __init__(self, topology: "StreamTopology") -> None:
         self.degrees = (
@@ -394,6 +396,7 @@ class StreamDeliveryPlane:
         self._topology = topology
         self._edge_keys = None
         self._neighbor_index_sets = None
+        self._transpose = None
 
     @property
     def edge_keys(self) -> np.ndarray:
@@ -407,6 +410,21 @@ class StreamDeliveryPlane:
                 senders * topology.n + topology.indices.astype(np.int64)
             )
         return keys
+
+    @property
+    def broadcast_transpose(self) -> tuple:
+        """``(t_senders, t_indptr)``, ``t_senders`` in the topology's
+        (int32-narrowed) index dtype — see
+        :func:`~repro.congest.columnar.broadcast_transpose`."""
+        transpose = self._transpose
+        if transpose is None:
+            from repro.congest.columnar import broadcast_transpose
+
+            topology = self._topology
+            transpose = self._transpose = broadcast_transpose(
+                topology.indptr, topology.indices
+            )
+        return transpose
 
     @property
     def neighbor_index_sets(self) -> list:
@@ -542,9 +560,12 @@ class _GridDeliveryPlane:
     kept as-is: rank comparisons only ever happen between neighbours,
     which never cross blocks).  The sorted edge-key table is built lazily
     on the first *unicast* emission: broadcast-only sweeps (every classic
-    in this repository) never pay the O(Σm) key sort."""
+    in this repository) never pay the O(Σm) key sort.  The broadcast
+    transpose is built lazily too, composed block-diagonally from the
+    blocks' cached transposes — concatenation with row and edge offsets,
+    never a per-sweep sort."""
 
-    __slots__ = ("degrees", "repr_rank", "_grid", "_edge_keys")
+    __slots__ = ("degrees", "repr_rank", "_grid", "_edge_keys", "_transpose")
 
     def __init__(self, grid: "GridTopology") -> None:
         self.degrees = grid.indptr[1:] - grid.indptr[:-1]
@@ -553,6 +574,35 @@ class _GridDeliveryPlane:
         )
         self._grid = grid
         self._edge_keys = None
+        self._transpose = None
+
+    @property
+    def broadcast_transpose(self) -> tuple:
+        """``(t_senders, t_indptr)`` of the grid: block ``t``'s cached
+        transpose shifted by its row offset (senders) and edge offset
+        (in-CSR offsets) — see
+        :func:`~repro.congest.columnar.broadcast_transpose`."""
+        transpose = self._transpose
+        if transpose is None:
+            grid = self._grid
+            dtype = grid.index_dtype
+            sender_parts = []
+            indptr_parts = [np.zeros(1, dtype=np.int64)]
+            edge_offset = 0
+            for block, row_offset in zip(grid.blocks, grid.offsets):
+                t_senders, t_indptr = (
+                    delivery_plane(block).broadcast_transpose
+                )
+                sender_parts.append(
+                    t_senders.astype(dtype, copy=False)
+                    + dtype.type(row_offset)
+                )
+                indptr_parts.append(t_indptr[1:] + edge_offset)
+                edge_offset += len(t_senders)
+            transpose = self._transpose = (
+                np.concatenate(sender_parts), np.concatenate(indptr_parts)
+            )
+        return transpose
 
     @property
     def edge_keys(self) -> np.ndarray:

@@ -55,6 +55,8 @@ ValueError: unknown rng mode 'philox': expected one of ('exact', 'vectorized')
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -175,14 +177,19 @@ def derive_stream_key(seed: int, inputs_list: Sequence[Any]) -> int:
     False
     """
     count = len(inputs_list)
-    values = np.fromiter(
-        (
-            0 if v is None
-            else (v if isinstance(v, int) else hash(v)) & _MASK64
-            for v in inputs_list
-        ),
-        dtype=np.uint64, count=count,
-    )
+    if any(map(operator.is_not, inputs_list, itertools.repeat(None))):
+        values = np.fromiter(
+            (
+                0 if v is None
+                else (v if isinstance(v, int) else hash(v)) & _MASK64
+                for v in inputs_list
+            ),
+            dtype=np.uint64, count=count,
+        )
+    else:
+        # No inputs (``inputs=None`` runs): every vertex contributes 0,
+        # found by a C-level scan instead of a per-vertex generator.
+        values = np.zeros(count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         # Position-mix each input so permuted seed vectors fold
         # differently, then reduce and finalize with the plan seed.

@@ -18,10 +18,12 @@ Three layers of coverage:
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.congest import (
     BandwidthExceededError,
@@ -54,8 +56,10 @@ from repro.congest.cluster_sim import (
     _cluster_bfs_inputs,
     distributed_boundary_tables,
 )
+from repro.congest import columnar as columnar_module
 from repro.congest.columnar import ColumnarInbox
 from repro.congest.message import bit_length_array, bits_for_int_array
+from repro.congest.runtime.compile import compile_edge_stream, compile_topology
 from repro.graphs import triangulated_grid
 
 
@@ -686,3 +690,323 @@ def test_run_many_releases_pooled_inboxes():
     # ...and an explicit release drops them.
     engine_module.release_round_buffers()
     assert len(engine_module._INBOX_POOL) == 0
+
+
+# ---------------------------------------------------------------------------
+# Sort-free broadcast delivery: the cached transpose vs the sort path
+# ---------------------------------------------------------------------------
+#: Emission shapes per round.  Only ``sorted`` (and ``oversized``, until
+#: it raises) can take the kernel; every other shape must fall back.
+SHAPES = ("sorted", "unsorted", "duplicate", "groups", "mixed", "oversized")
+
+
+class ScriptedTraffic(ColumnarAlgorithm):
+    """Replays one emission shape per round, from a sender set drawn per
+    round by hashing each vertex's input (so the script is grid-safe),
+    and records every inbox it is delivered.  Outputs: per vertex, the
+    ``(sender vertex, payload...)`` rows it received, round by round."""
+
+    grid_safe = True
+    FIXED = ColumnarSpec(("kind", np.uint8), ("value", np.int64))
+    VAR = ColumnarSpec(("kind", np.uint8), VarColumn("vals"))
+
+    def __init__(self, script, var=False, sink=None):
+        self.script = script  # ((shape, density per mille), ...) per round
+        self.var = var
+        self.sink = sink
+        self.spec = self.VAR if var else self.FIXED
+
+    def spawn(self):
+        instance = type(self)(self.script, self.var, self.sink)
+        if self.sink is not None:
+            self.sink.append(instance)
+        return instance
+
+    def setup(self, ctx):
+        self.key = np.array(ctx.inputs, dtype=np.int64)
+        self.received = [[] for _ in range(ctx.n)]
+        self.inboxes = []
+
+    def record(self, ctx):
+        inbox = ctx.inbox
+        columns = {name: col.tolist() for name, col in inbox.columns.items()}
+        self.inboxes.append((
+            inbox.senders.tolist(), inbox.indptr.tolist(), columns,
+            [inbox.var(name)[0].tolist() for name in inbox.var_pools],
+            (inbox.senders.dtype, inbox.indptr.dtype,
+             tuple(col.dtype for col in inbox.columns.values())),
+        ))
+        senders = inbox.senders.tolist()
+        indptr = inbox.indptr.tolist()
+        for i in range(ctx.n):
+            self.received[i].append(tuple(
+                (ctx.vertices[senders[k]],
+                 *(columns[name][k] for name in columns))
+                for k in range(indptr[i], indptr[i + 1])
+            ))
+
+    def emit(self, ctx, senders, values, receivers=None):
+        kinds = values % 2
+        if self.var:
+            # Short sequences of small values; an oversized value
+            # travels as one huge element.
+            ctx.emit_var(senders, receivers, kind=kinds, vals=[
+                [v % 7] * (v % 3) if v < 200 else [v]
+                for v in values.tolist()
+            ])
+        else:
+            ctx.emit_columns(senders, receivers, kind=kinds, value=values)
+
+    def on_round(self, ctx):
+        self.record(ctx)
+        r = ctx.round_number
+        if r > len(self.script):
+            ctx.halt(~ctx.halted)
+            return
+        shape, density = self.script[r - 1]
+        draw = (self.key * 2654435761 + r * 40503) % 1000
+        senders = np.flatnonzero((draw < density) & ~ctx.halted)
+        values = (self.key[senders] + r) % 200
+        if shape == "oversized":
+            # Some senders' values exceed the CONGEST budget.
+            values = np.where(draw[senders] % 5 == 0, 1 << 40, values)
+        if shape == "unsorted":
+            senders, values = senders[::-1], values[::-1]
+        elif shape == "duplicate":
+            senders = np.sort(np.concatenate(
+                [senders, senders[draw[senders] % 3 == 0]]
+            ))
+            values = (self.key[senders] + r) % 200
+        if shape == "groups":
+            odd = draw[senders] % 2 == 1
+            self.emit(ctx, senders[odd], values[odd])
+            self.emit(ctx, senders[~odd], values[~odd])
+        else:
+            self.emit(ctx, senders, values)
+        if shape == "mixed":
+            degrees = np.asarray(ctx.degrees)[senders]
+            talkers = senders[degrees > 0]
+            self.emit(ctx, talkers, (self.key[talkers] + 1) % 200,
+                      receivers=ctx.indices[ctx.indptr[talkers]])
+
+    def outputs(self, ctx):
+        return [tuple(rows) for rows in self.received]
+
+
+def _run_plane(topology, script, var, inputs, plane, share, monkeypatch):
+    """``(outputs, metrics, inboxes, error)`` of one single run, with the
+    kernel's cost-model share set to ``share``."""
+    monkeypatch.setattr(columnar_module, "_TRANSPOSE_SHARE_PER_PASS", share)
+    sink = []
+    net = Network(topology, bandwidth_factor=8)
+    try:
+        outputs = net.run(ScriptedTraffic(script, var, sink), plane=plane,
+                          inputs=inputs, max_rounds=len(script) + 2)
+        error = None
+    except BandwidthExceededError as exc:
+        outputs, error = None, str(exc)
+    return outputs, astuple(net.metrics), sink[-1].inboxes, error
+
+
+def _random_topology(kind, n, p, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    edges = np.argwhere(upper)
+    if kind == "stream":
+        return compile_edge_stream([edges], n)
+    graph = nx.empty_graph(n)  # keeps isolated (zero-degree) vertices
+    graph.add_edges_from(edges.tolist())
+    return graph
+
+
+scripts = st.lists(
+    st.tuples(st.sampled_from(SHAPES),
+              st.sampled_from([0, 30, 200, 600, 1000])),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(kind="nx", n=12, p=0.5, seed=3, script=[("oversized", 1000)],
+         var=False)
+@example(kind="stream", n=20, p=0.5, seed=1, script=[("sorted", 1000),
+         ("oversized", 600)], var=False)
+@given(
+    kind=st.sampled_from(["nx", "stream"]),
+    n=st.integers(min_value=4, max_value=28),
+    p=st.sampled_from([0.05, 0.2, 0.5]),
+    seed=st.integers(0, 10**6),
+    script=scripts,
+    var=st.booleans(),
+)
+def test_broadcast_kernel_matches_sort_path_and_reference(
+    kind, n, p, seed, script, var,
+):
+    topology = _random_topology(kind, n, p, seed)
+    inputs = {v: (v * 7919 + seed) % 100003 for v in range(n)}
+    runs = [
+        ("columnar", 0.0),  # the kernel whenever a round is eligible
+        ("columnar", float("inf")),  # never: the sort path
+        ("columnar", columnar_module._TRANSPOSE_SHARE_PER_PASS),
+        ("columnar-reference", 0.0),
+    ]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        kernel, sorted_, default, reference = [
+            _run_plane(topology, tuple(script), var, inputs, plane, share,
+                       monkeypatch)
+            for plane, share in runs
+        ]
+    # Byte-identity with the sort path: inbox arrays *and* their dtypes,
+    # outputs, every NetworkMetrics field, and the error text of an
+    # oversized message (with the same partially counted round).
+    assert kernel == sorted_ == default
+    # The per-message reference: same values (its senders are int64).
+    strip = [inbox[:4] for inbox in kernel[2]]
+    assert strip == [inbox[:4] for inbox in reference[2]]
+    assert kernel[:2] == reference[:2] and kernel[3] == reference[3]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=4, max_value=16), min_size=2,
+                   max_size=3),
+    seed=st.integers(0, 10**6),
+    script=scripts.filter(
+        lambda s: all(shape != "oversized" for shape, _ in s)
+    ),
+)
+def test_grid_broadcast_kernel_matches_per_trial_reference(sizes, seed,
+                                                           script):
+    graphs = [
+        _random_topology("nx", n, 0.3, seed + t) for t, n in enumerate(sizes)
+    ]
+    trials = [
+        Trial(graph, inputs={v: (v * 31 + t) % 997 for v in graph.nodes},
+              max_rounds=len(script) + 2, bandwidth_factor=8)
+        for t, graph in enumerate(graphs)
+    ]
+    algorithm = ScriptedTraffic(tuple(script))
+    results = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for share in (0.0, float("inf")):
+            monkeypatch.setattr(
+                columnar_module, "_TRANSPOSE_SHARE_PER_PASS", share
+            )
+            results[share] = [
+                (list(outputs.items()), astuple(metrics))
+                for outputs, metrics in run_many(
+                    algorithm, trials, processes=1, plane="grid")
+            ]
+    expected = []
+    for trial in trials:
+        net = Network(trial.graph, bandwidth_factor=8)
+        outputs = net.run(algorithm, plane="columnar-reference",
+                          inputs=trial.inputs, max_rounds=trial.max_rounds)
+        expected.append((list(outputs.items()), astuple(net.metrics)))
+    assert results[0.0] == results[float("inf")] == expected
+
+
+class TestBroadcastKernel:
+    def spy(self, monkeypatch):
+        calls = []
+        original = columnar_module._deliver_broadcast
+
+        def spy(*args, **kwargs):
+            calls.append(args[4])  # the round's senders
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(columnar_module, "_deliver_broadcast", spy)
+        return calls
+
+    @pytest.mark.parametrize("shape,taken", [
+        ("sorted", True), ("unsorted", False), ("duplicate", False),
+        ("groups", False), ("mixed", False),
+    ])
+    def test_dense_rounds_take_kernel_and_fallbacks_do_not(
+        self, monkeypatch, shape, taken,
+    ):
+        calls = self.spy(monkeypatch)
+        graph = nx.random_regular_graph(4, 30, seed=1)
+        Network(graph).run(
+            ScriptedTraffic(((shape, 1000),)),
+            inputs={v: v for v in graph.nodes},
+        )
+        assert bool(calls) == taken
+
+    def test_var_fields_sparse_rounds_and_faults_keep_sort_path(
+        self, monkeypatch,
+    ):
+        from repro.congest.runtime.faults import FaultPlan
+
+        calls = self.spy(monkeypatch)
+        graph = nx.random_regular_graph(4, 30, seed=1)
+        inputs = {v: v for v in graph.nodes}
+        Network(graph).run(ScriptedTraffic((("sorted", 1000),), var=True),
+                           inputs=inputs)
+        Network(graph).run(ScriptedTraffic((("sorted", 30),)),
+                           inputs=inputs)
+        Network(graph).run(ScriptedTraffic((("sorted", 1000),)),
+                           inputs=inputs, faults=FaultPlan())
+        assert calls == []
+
+    def test_zero_degree_oversized_sender_never_raises(self, monkeypatch):
+        monkeypatch.setattr(columnar_module, "_TRANSPOSE_SHARE_PER_PASS", 0.0)
+
+        class IsolatedGiant(ColumnarAlgorithm):
+            spec = ColumnarSpec(("value", np.int64))
+
+            def on_round(self, ctx):
+                # Vertex 2 is isolated: its oversized payload has no copy.
+                ctx.emit_columns(np.array([0, 2]),
+                                 value=np.array([1, 1 << 60]))
+                ctx.halt(~ctx.halted)
+
+        graph = nx.empty_graph(3)
+        graph.add_edge(0, 1)
+        for plane in ("columnar", "columnar-reference"):
+            net = Network(graph, bandwidth_factor=1)  # a 2-bit budget
+            net.run(IsolatedGiant(), plane=plane)
+            assert (net.metrics.messages, net.metrics.total_bits) == (1, 1)
+
+    def test_transpose_is_cached_and_composed_per_block(self):
+        from repro.congest.runtime.compile import GridTopology
+
+        graph = nx.random_regular_graph(3, 10, seed=2)
+        topology = compile_topology(graph)
+        plane = topology.columnar_plane()
+        t_senders, t_indptr = plane.broadcast_transpose
+        assert plane.broadcast_transpose[0] is t_senders
+        # Symmetric topology: in-CSR offsets are the CSR's own.
+        assert t_indptr.tolist() == topology.indptr.tolist()
+        for r in range(topology.n):
+            segment = t_senders[t_indptr[r]:t_indptr[r + 1]].tolist()
+            assert segment == sorted(topology.neighbor_index_tuples[r])
+        grid = GridTopology([topology, topology])
+        g_senders, g_indptr = grid.plane.broadcast_transpose
+        assert g_senders.tolist() == (
+            t_senders.tolist() + (t_senders + topology.n).tolist()
+        )
+        assert g_indptr.tolist() == grid.indptr.tolist()
+
+
+def test_empty_inbox_keeps_narrowed_sender_dtype():
+    """Empty and non-empty inboxes of an int32-narrowed topology carry
+    the same sender dtype (the index dtype emissions adopt)."""
+    topology = compile_edge_stream([np.array([[0, 1], [1, 2]])], 4)
+    assert topology.index_dtype == np.int32
+    seen = []
+
+    class Probe(ColumnarAlgorithm):
+        spec = ColumnarSpec(("value", np.uint8))
+
+        def on_round(self, ctx):
+            seen.append((len(ctx.inbox), ctx.inbox.senders.dtype))
+            if ctx.round_number == 1:
+                ctx.emit_columns(np.array([1]), value=1)
+            elif ctx.round_number == 3:
+                ctx.halt(~ctx.halted)
+
+    Network(topology).run(Probe())
+    # Round 1: initial inbox; round 2: vertex 1's broadcast; round 3:
+    # the empty inbox of a silent round.
+    assert seen == [(0, np.int32), (2, np.int32), (0, np.int32)]

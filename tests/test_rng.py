@@ -126,6 +126,45 @@ class TestRngPlan:
             0, list(reversed(inputs))
         )
 
+    @pytest.mark.parametrize("inputs", [
+        [None] * 5,
+        [],
+        [0, 7, 1 << 40],
+        [-1, -(1 << 63), 3],
+        [1 << 64, (1 << 70) + 5, -(1 << 80)],
+        ["a", (1, 2), frozenset({3})],
+        [None, 3, -2, 1 << 70, "b", None],
+    ])
+    def test_stream_key_matches_per_vertex_fold(self, inputs):
+        """The all-``None`` shortcut and the general path both agree with
+        the per-vertex fold the key has always been defined by."""
+        mask = (1 << 64) - 1
+        golden = np.uint64(0x9E3779B97F4A7C15)
+
+        def splitmix(values):
+            z = values + golden
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            return z ^ (z >> np.uint64(31))
+
+        values = np.array(
+            [0 if v is None else (v if isinstance(v, int) else hash(v)) & mask
+             for v in inputs],
+            dtype=np.uint64,
+        )
+        with np.errstate(over="ignore"):
+            mixed = splitmix(
+                values ^ (np.arange(len(inputs), dtype=np.uint64) * golden)
+            )
+            folded = splitmix(np.array(
+                [np.uint64(11) ^ mixed.sum(dtype=np.uint64)], dtype=np.uint64
+            ))
+        assert derive_stream_key(11, inputs) == int(folded[0])
+
+    def test_stream_key_pins_for_absent_inputs(self):
+        assert derive_stream_key(5, [None] * 4) == 8108407842254913909
+        assert derive_stream_key(5, []) == 7134611160154358618
+
     def test_state_factory(self):
         assert isinstance(rng_state_for(None, [1, 2]), ExactRng)
         assert isinstance(rng_state_for("vectorized", [1, 2]), VectorizedRng)

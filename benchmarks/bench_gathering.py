@@ -151,7 +151,7 @@ def bench_walk_router_planes(n, repeats, f, phi_hint, independence):
         1, lambda: run("columnar-reference")
     )
 
-    for name, outcome in (("object", object_out),
+    for name, outcome in (("broadcast", object_out),
                           ("columnar", columnar_out),
                           ("columnar-reference", reference_out)):
         if outcome["final"] != expected["final"] or (

@@ -132,7 +132,7 @@ def test_matching_granular_decomposition(benchmark):
 
 def test_matching_greedy_run_many_sweep(benchmark):
     """Sweep the ½-approximate proposal-matching baseline over seeds via
-    ``engine.run_many`` and record the uniform schema to
+    ``run_many`` and record the uniform schema to
     ``BENCH_matching_vc.json``."""
     import random
 
@@ -165,7 +165,7 @@ def test_matching_greedy_run_many_sweep(benchmark):
             u not in matched and v not in matched for u, v in graph.edges
         )  # maximality
     print_table(
-        "Cor 6.4 baseline — proposal matching seed sweep via engine.run_many",
+        "Cor 6.4 baseline — proposal matching seed sweep via run_many",
         ["workload", "n", "trials", "rounds", "messages", "bits", "wall s"],
         [[record["workload"], record["n"], record["trials"],
           record["rounds"], record["messages"], record["bits"],

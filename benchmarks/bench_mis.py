@@ -176,7 +176,7 @@ def test_mis_vs_distributed_baseline(benchmark):
 
 
 def test_mis_luby_run_many_sweep(benchmark):
-    """Sweep the Luby baseline over seeds through ``engine.run_many`` and
+    """Sweep the Luby baseline over seeds through ``run_many`` and
     record the uniform schema (cpus, wall-clock, rounds, messages, bits)
     to ``BENCH_mis.json`` — the distributed-baseline counterpart of the
     quality tables above."""
@@ -211,7 +211,7 @@ def test_mis_luby_run_many_sweep(benchmark):
             u in independent and v in independent for u, v in graph.edges
         )
     print_table(
-        "Cor 6.5 baseline — Luby MIS seed sweep via engine.run_many",
+        "Cor 6.5 baseline — Luby MIS seed sweep via run_many",
         ["workload", "n", "trials", "rounds", "messages", "bits", "wall s"],
         [[record["workload"], record["n"], record["trials"],
           record["rounds"], record["messages"], record["bits"],

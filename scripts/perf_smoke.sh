@@ -24,9 +24,7 @@ python scripts/check_docs.py
 python scripts/check_fault_identity.py
 python scripts/check_fabric_identity.py
 python scripts/check_rng_identity.py
-python benchmarks/bench_engine.py --quick --json "$SMOKE_DIR/BENCH_engine.quick.json"
-python benchmarks/bench_delivery.py --quick --json "$SMOKE_DIR/BENCH_delivery.quick.json"
-python benchmarks/bench_columnar.py --quick --json "$SMOKE_DIR/BENCH_columnar.quick.json"
+python benchmarks/bench_planes.py --quick --json "$SMOKE_DIR/BENCH_planes.quick.json"
 python benchmarks/bench_grid.py --quick --json "$SMOKE_DIR/BENCH_grid.quick.json"
 python benchmarks/bench_gathering.py --quick --json "$SMOKE_DIR/BENCH_gathering.quick.json"
 python benchmarks/bench_resilience.py --quick --recovery --json "$SMOKE_DIR/BENCH_resilience.quick.json"

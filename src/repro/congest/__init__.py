@@ -23,18 +23,17 @@ Public API
     The synchronous executor, with per-edge bandwidth enforcement and
     round/message/bit metrics.  A thin facade over the runtime plane
     registry: the round loop itself lives in
-    ``repro.congest.runtime.scheduler`` (``repro.congest.engine`` keeps
-    only the one-time ``CompiledTopology`` compilation plus compat
-    re-exports).
+    ``repro.congest.runtime.scheduler``.
 ``CompiledTopology`` / ``run_many`` / ``Trial``
-    The engine's one-time topology compilation and the batched benchmark
+    The one-time topology compilation (``repro.congest.runtime.compile``)
+    and the batched benchmark
     runner: ``run_many(algorithm, trials, processes=N)`` grid-batches
     grid-safe columnar sweeps into one block-diagonal trial-major
     execution (``repro.congest.runtime.batch``) and otherwise fans a
     sweep of graphs/seeds out over a multiprocessing pool.
 ``runtime`` (``repro.congest.runtime``)
     The unified execution runtime: the ``ExecutionPlane`` registry
-    (``reference`` / ``object`` / ``broadcast`` / ``columnar`` /
+    (``reference`` / ``broadcast`` / ``columnar`` /
     ``columnar-reference`` / ``grid``) that ``Network.run`` resolves
     planes through by name, the shared round scheduler, the compilation
     entries, and trial-major grid execution.
@@ -91,7 +90,6 @@ from repro.congest.columnar import (
     ColumnarInbox,
     execute_columnar,
 )
-from repro.congest.engine import CompiledTopology
 from repro.congest.runtime import (
     ColumnarReliable,
     ExecutionPlane,
@@ -111,6 +109,7 @@ from repro.congest.runtime import (
     run_many_fabric,
     supported_planes,
 )
+from repro.congest.runtime.compile import CompiledTopology
 from repro.congest.message import (
     Broadcast,
     ColumnarSpec,

@@ -722,7 +722,7 @@ def broadcast_transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple:
 
 class CompiledDeliveryPlane:
     """Columnar-plane arrays compiled lazily per topology (cached on the
-    :class:`~repro.congest.engine.CompiledTopology`, so they share its
+    :class:`~repro.congest.runtime.compile.CompiledTopology`, so they share its
     per-graph memoization and invalidation).  The
     :func:`broadcast_transpose` is built on the first round dense enough
     to take :func:`_deliver_broadcast`."""

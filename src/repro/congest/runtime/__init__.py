@@ -6,16 +6,16 @@ programs independent of the execution substrate:
 
 * :mod:`~repro.congest.runtime.scheduler` — the shared round scheduler:
   the ``run_rounds`` spine (halting, round caps, per-run metric
-  flushing) every executor drives, the object-plane active-set engine,
+  flushing) every executor drives, the broadcast-plane active-set engine,
   the seed reference loop, and the pooled double-buffered inboxes
   (``release_round_buffers``);
 * :mod:`~repro.congest.runtime.planes` — the :class:`ExecutionPlane`
-  protocol and the registry (``reference`` / ``object`` / ``broadcast``
-  / ``columnar`` / ``columnar-reference`` / ``grid``) that
+  protocol and the registry (``reference`` / ``broadcast`` /
+  ``columnar`` / ``columnar-reference`` / ``grid``) that
   ``Network.run``, ``run_many``, the algorithm wrappers, and the CLI all
   resolve planes through — by name, never by ``isinstance``;
 * :mod:`~repro.congest.runtime.compile` — the single compilation entry
-  (per-graph :class:`~repro.congest.engine.CompiledTopology` and
+  (per-graph :class:`~repro.congest.runtime.compile.CompiledTopology` and
   delivery-plane caches) plus the block-diagonal
   :class:`~repro.congest.runtime.compile.GridTopology`;
 * :mod:`~repro.congest.runtime.batch` — ``run_many`` and **trial-major

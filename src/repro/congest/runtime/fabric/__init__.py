@@ -13,7 +13,7 @@ RPC protocol to a region coordinator that monitors and heals it):
   pickle fields inside the JSON envelope);
 * :mod:`~repro.congest.runtime.fabric.worker` — a long-lived daemon
   (``python -m repro fabric-worker --port N``) that accepts trial-block
-  jobs in the canonical 6-tuple shape of
+  jobs in the canonical 7-tuple shape of
   :func:`~repro.congest.runtime.batch.normalize_jobs`, executes them
   through the *same* :func:`~repro.congest.runtime.batch.execute_jobs`
   entry a local sweep uses (grid plane and all), and streams back

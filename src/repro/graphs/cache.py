@@ -1,12 +1,13 @@
 """One per-graph memoization protocol for compiled graph artifacts.
 
 Two subsystems compile a ``networkx.Graph`` into a derived object and
-memoize it per graph instance: the CONGEST engine's
-:class:`~repro.congest.engine.CompiledTopology` and the structural-stats
-cache :class:`~repro.graphs.stats.GraphStats`.  Before this module each
-kept its own ``WeakKeyDictionary`` with its own copy of the staleness
-check — which meant a mutation could be detected by one cache and missed
-by the other, serving a stale compilation next to fresh stats.
+memoize it per graph instance: the CONGEST runtime's
+:class:`~repro.congest.runtime.compile.CompiledTopology` and the
+structural-stats cache :class:`~repro.graphs.stats.GraphStats`.  Before
+this module each kept its own ``WeakKeyDictionary`` with its own copy of
+the staleness check — which meant a mutation could be detected by one
+cache and missed by the other, serving a stale compilation next to fresh
+stats.
 
 :class:`PerGraphCache` centralizes the protocol:
 

@@ -1,6 +1,6 @@
 """Differential tests: the compiled-topology engine vs the seed executor.
 
-``Network.run`` delegates to :mod:`repro.congest.engine`;
+``Network.run`` delegates to :func:`repro.congest.runtime.scheduler.execute`;
 ``Network._run_reference`` is the retained seed loop.  For every classic
 algorithm and a spread of graphs/seeds, both must produce byte-identical
 outputs and identical ``NetworkMetrics`` counters.  Active-set edge cases

@@ -443,6 +443,35 @@ class TestWorkerProtocol:
         finally:
             sock.close()
 
+    def test_malformed_job_is_an_algorithm_error_not_a_disconnect(
+        self, worker
+    ):
+        graph = triangulated_grid(5, 5)
+        jobs = normalize_jobs(mis_trials(graph, 2, 200))
+        jobs[1] = jobs[1][:6]  # a peer shipping a 6-tuple job
+        sock = self._connect(worker)
+        try:
+            protocol.send_frame(sock, {
+                "type": "run-block", "block": 3, "plane": "auto",
+                "trials": None,
+                "payload": protocol.encode_payload(
+                    (ColumnarLubyMIS(200), jobs)
+                ),
+            })
+            while True:
+                frame = protocol.recv_frame(sock)
+                if frame["type"] != "heartbeat":
+                    break
+            assert frame["type"] == "error"
+            assert frame["kind"] == "algorithm"
+            assert frame["exception"] == "ValueError"
+            assert "job 1 has 6 fields" in frame["message"]
+            # The connection keeps serving.
+            protocol.send_frame(sock, {"type": "ping"})
+            assert protocol.recv_frame(sock) == {"type": "pong"}
+        finally:
+            sock.close()
+
 
 # ---------------------------------------------------------------------------
 # Worker-side topology cache: GraphRef payloads, hit accounting, recovery

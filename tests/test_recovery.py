@@ -84,16 +84,20 @@ def run(algorithm, *, plane, faults=None, inputs=None, max_rounds=None,
     return outputs, net.metrics
 
 
-def wrapped_luby(plane, retries=2):
-    if plane == "object":
+# Each algorithm family runs on its fast plane.
+FAST_PLANE = {"object": "broadcast", "columnar": "columnar"}
+
+
+def wrapped_luby(family, retries=2):
+    if family == "object":
         return ReliableNodeAlgorithm(
             LubyMISAlgorithm(LUBY_HORIZON), retries=retries
         )
     return ColumnarReliable(ColumnarLubyMIS(LUBY_HORIZON), retries=retries)
 
 
-def wrapped_bfs(plane, retries=2):
-    if plane == "object":
+def wrapped_bfs(family, retries=2):
+    if family == "object":
         return ReliableNodeAlgorithm(
             RestartingBFS(ROOT, BFS_HORIZON), retries=retries
         )
@@ -102,13 +106,13 @@ def wrapped_bfs(plane, retries=2):
     )
 
 
-def self_healing(plane):
-    cls = SelfHealingMIS if plane == "object" else ColumnarSelfHealingMIS
+def self_healing(family):
+    cls = SelfHealingMIS if family == "object" else ColumnarSelfHealingMIS
     return cls(SH_LUBY, SH_REPAIR)
 
 
-def restarting_bfs(plane):
-    cls = RestartingBFS if plane == "object" else ColumnarRestartingBFS
+def restarting_bfs(family):
+    cls = RestartingBFS if family == "object" else ColumnarRestartingBFS
     return cls(ROOT, BFS_HORIZON)
 
 
@@ -159,45 +163,47 @@ class TestWrapperBasics:
 # Transparency: fault-free and zero-rate runs
 # ---------------------------------------------------------------------------
 class TestWrapperTransparency:
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_fault_free_wrapped_luby_matches_plain(self, plane):
-        plain_cls = LubyMISAlgorithm if plane == "object" else ColumnarLubyMIS
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_fault_free_wrapped_luby_matches_plain(self, family):
+        plain_cls = LubyMISAlgorithm if family == "object" else ColumnarLubyMIS
         plain, plain_metrics = run(
-            plain_cls(LUBY_HORIZON), plane=plane, inputs=INPUTS
+            plain_cls(LUBY_HORIZON), plane=FAST_PLANE[family], inputs=INPUTS
         )
         wrapped, wrapped_metrics = run(
-            wrapped_luby(plane), plane=plane, inputs=INPUTS
+            wrapped_luby(family), plane=FAST_PLANE[family], inputs=INPUTS
         )
         assert wrapped == plain
         # Window framing: every logical round costs exactly one window.
         assert wrapped_metrics.rounds == 6 * plain_metrics.rounds
 
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_zero_rate_plan_is_byte_identical(self, plane):
-        base = run(wrapped_luby(plane), plane=plane, inputs=INPUTS)
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_zero_rate_plan_is_byte_identical(self, family):
+        base = run(
+            wrapped_luby(family), plane=FAST_PLANE[family], inputs=INPUTS
+        )
         zeroed = run(
-            wrapped_luby(plane), plane=plane, inputs=INPUTS,
+            wrapped_luby(family), plane=FAST_PLANE[family], inputs=INPUTS,
             faults=FaultPlan(seed=9),
         )
         assert base == zeroed
 
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_fault_free_self_healing_is_valid_mis(self, plane):
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_fault_free_self_healing_is_valid_mis(self, family):
         outputs, metrics = run(
-            self_healing(plane), plane=plane, inputs=INPUTS,
+            self_healing(family), plane=FAST_PLANE[family], inputs=INPUTS,
             max_rounds=SH_HORIZON + 2,
         )
         assert check_mis(GRAPH, outputs, metrics.crashed_vertices).holds
 
     def test_self_healing_planes_agree(self):
-        obj = run(self_healing("object"), plane="object", inputs=INPUTS,
+        obj = run(self_healing("object"), plane="broadcast", inputs=INPUTS,
                   max_rounds=SH_HORIZON + 2)
         col = run(self_healing("columnar"), plane="columnar", inputs=INPUTS,
                   max_rounds=SH_HORIZON + 2)
         assert obj == col
 
     def test_restarting_bfs_planes_agree(self):
-        obj = run(restarting_bfs("object"), plane="object",
+        obj = run(restarting_bfs("object"), plane="broadcast",
                   max_rounds=BFS_HORIZON + 2)
         col = run(restarting_bfs("columnar"), plane="columnar",
                   max_rounds=BFS_HORIZON + 2)
@@ -209,13 +215,13 @@ class TestWrapperTransparency:
 # Recovery: guarantees restored under live adversaries
 # ---------------------------------------------------------------------------
 class TestRecovery:
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_wrapped_bfs_exact_under_max_covered_delay(self, plane):
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_wrapped_bfs_exact_under_max_covered_delay(self, family):
         # retries=2 gives a 6-round window; any delay <= 4 is absorbed
         # deterministically, so the tree must be exact, every seed.
         for seed in range(3):
             outputs, metrics = run(
-                wrapped_bfs(plane), plane=plane,
+                wrapped_bfs(family), plane=FAST_PLANE[family],
                 faults=FaultPlan(seed=seed, delay=4),
                 max_rounds=6 * (BFS_HORIZON + 2),
             )
@@ -224,12 +230,12 @@ class TestRecovery:
             )
             assert report.holds, report.details
 
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_wrapped_bfs_exact_under_drop_and_corrupt(self, plane):
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_wrapped_bfs_exact_under_drop_and_corrupt(self, family):
         for faults in (FaultPlan(seed=1, drop=0.3),
                        FaultPlan(seed=1, corrupt=0.25)):
             outputs, metrics = run(
-                wrapped_bfs(plane), plane=plane, faults=faults,
+                wrapped_bfs(family), plane=FAST_PLANE[family], faults=faults,
                 max_rounds=6 * (BFS_HORIZON + 2),
             )
             report = check_bfs_tree(
@@ -237,11 +243,11 @@ class TestRecovery:
             )
             assert report.holds, report.details
 
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_self_healing_mis_recovers_from_crashes(self, plane):
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_self_healing_mis_recovers_from_crashes(self, family):
         for seed in range(3):
             outputs, metrics = run(
-                self_healing(plane), plane=plane, inputs=INPUTS,
+                self_healing(family), plane=FAST_PLANE[family], inputs=INPUTS,
                 faults=FaultPlan(seed=seed, crash=0.05),
                 max_rounds=SH_HORIZON + 2,
             )
@@ -249,13 +255,13 @@ class TestRecovery:
             report = check_mis(GRAPH, outputs, metrics.crashed_vertices)
             assert report.holds, report.details
 
-    @pytest.mark.parametrize("plane", ["object", "columnar"])
-    def test_wrapped_self_healing_mis_under_delay(self, plane):
+    @pytest.mark.parametrize("family", ["object", "columnar"])
+    def test_wrapped_self_healing_mis_under_delay(self, family):
         outputs, metrics = run(
             ReliableNodeAlgorithm(self_healing("object"), retries=2)
-            if plane == "object"
+            if family == "object"
             else ColumnarReliable(self_healing("columnar"), retries=2),
-            plane=plane, inputs=INPUTS,
+            plane=FAST_PLANE[family], inputs=INPUTS,
             faults=FaultPlan(seed=2, delay=4),
             max_rounds=6 * (SH_HORIZON + 2),
         )

@@ -85,18 +85,14 @@ def mis_horizon(graph):
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_planes_registered(self):
-        names = plane_names()
-        for expected in ("reference", "object", "broadcast", "columnar",
-                         "columnar-reference", "grid"):
-            assert expected in names
+        assert plane_names() == (
+            "reference", "broadcast", "columnar", "columnar-reference",
+            "grid",
+        )
 
     def test_batch_only_excluded_from_single_run_names(self):
         assert "grid" not in plane_names(batch=False)
         assert "columnar" in plane_names(batch=False)
-
-    def test_legacy_aliases_resolve(self):
-        assert get_plane("dict") is get_plane("broadcast")
-        assert get_plane("engine") is get_plane("broadcast")
 
     def test_unknown_plane_error_lists_registry(self):
         with pytest.raises(ValueError, match="broadcast.*columnar"):
@@ -116,7 +112,7 @@ class TestRegistry:
 
     def test_supported_planes_capability_driven(self):
         assert supported_planes(LubyMISAlgorithm(10)) == (
-            "reference", "object", "broadcast",
+            "reference", "broadcast",
         )
         assert supported_planes(ColumnarLubyMIS(10)) == (
             "columnar", "columnar-reference", "grid",
@@ -151,12 +147,12 @@ class TestRegistry:
         variants = {"object": "obj", "columnar": "col"}
         assert variant_for_plane(variants, "auto") == "col"
         assert variant_for_plane(variants, None) == "col"
-        assert variant_for_plane(variants, "dict") == "obj"
+        assert variant_for_plane(variants, "broadcast") == "obj"
         assert variant_for_plane(variants, "reference") == "obj"
         assert variant_for_plane(variants, "grid") == "col"
         assert variant_for_plane({"object": "obj"}, "auto") == "obj"
         with pytest.raises(ValueError,
-                           match="supported planes: reference, object"):
+                           match="supported planes: reference, broadcast"):
             variant_for_plane({"object": "obj"}, "columnar")
 
 
@@ -505,15 +501,6 @@ class TestInboxPool:
         assert pooled is not None
         for buffer in pooled:
             assert all(not box for box in buffer if box is not None)
-
-    def test_engine_compat_aliases_point_at_scheduler_pool(self):
-        from repro.congest import engine as engine_module
-
-        assert engine_module._INBOX_POOL is scheduler_module._INBOX_POOL
-        assert (
-            engine_module.release_round_buffers
-            is scheduler_module.release_round_buffers
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +852,16 @@ class TestGridExecution:
                      processes=1, plane="grid")
         assert str(grid_error.value) == str(single_error.value)
 
+    def test_execute_jobs_rejects_a_six_tuple_job(self):
+        from repro.congest.runtime import execute_jobs, normalize_jobs
+
+        graph = nx.path_graph(4)
+        jobs = normalize_jobs([graph, graph])
+        jobs[1] = jobs[1][:6]
+        with pytest.raises(ValueError, match="job 1 has 6 fields"):
+            execute_jobs(ColumnarLubyMIS(mis_horizon(graph)), jobs,
+                         processes=1)
+
 
 # ---------------------------------------------------------------------------
 # CLI: --plane auto works for every wrapped problem; errors derive from
@@ -912,12 +909,6 @@ class TestCLIPlaneSelection:
         assert "broadcast" in message
         # The stale hand-written hint is gone for good.
         assert "use --plane dict" not in message
-
-    def test_legacy_dict_plane_still_accepted(self, capsys):
-        assert cli_main([
-            "simulate", "coloring", "cycle:12", "--plane", "dict",
-        ]) == 0
-        assert "colors =" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

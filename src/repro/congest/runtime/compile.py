@@ -247,16 +247,40 @@ class _PeakTracker:
     def pop(self, nbytes: int) -> None:
         self.current -= int(nbytes)
 
+    def transient(self, nbytes: int) -> None:
+        """Scratch freed before the next tracked step: peak only."""
+        self.peak = max(self.peak, self.current + int(nbytes))
 
-def _decimal_repr_rank(n: int) -> np.ndarray:
-    """Rank of each vertex ``0..n-1`` under ``repr`` (decimal-string)
-    ordering, computed numerically: the string order of left-aligned
-    decimals is the order of ``v * 10**(maxd - digits(v))`` with ties
-    (prefix pairs like ``"2"``/``"20"``) broken shorter-first — no
-    Python string sort, O(n log n) in numpy.
 
-    >>> _decimal_repr_rank(12).tolist()  # 0,1,10,11,2,..,9
-    [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3]
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for an integer array, by sort plus an
+    adjacent-difference mask.
+
+    numpy 2.4 routes a plain ``np.unique`` (no ``return_*`` flag)
+    through a hash table, ~60x slower than this on 2^20 random uint64
+    keys; the sorted distinct values are the same array.
+
+    >>> sorted_unique(np.array([3, 1, 3, 2, 1])).tolist()
+    [1, 2, 3]
+    """
+    keys = np.sort(values, axis=None)
+    if len(keys) < 2:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _decimal_repr_order(n: int) -> np.ndarray:
+    """Vertices ``0..n-1`` sorted by ``repr`` (decimal-string) order,
+    computed numerically: the string order of left-aligned decimals is
+    the order of ``v * 10**(maxd - digits(v))`` with ties (prefix pairs
+    like ``"2"``/``"20"``) broken shorter-first — no Python string sort,
+    O(n log n) in numpy.  The inverse of :func:`_decimal_repr_rank`.
+
+    >>> _decimal_repr_order(12).tolist()
+    [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
     """
     if n <= 0:
         return np.empty(0, dtype=np.int64)
@@ -267,11 +291,23 @@ def _decimal_repr_rank(n: int) -> np.ndarray:
         np.searchsorted(powers, values, side="right"), 1
     )
     padded = values * powers[max_digits - digits]
-    key = padded * (max_digits + 1) + digits
-    order = np.argsort(key)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = values
-    return rank
+    return np.argsort(padded * (max_digits + 1) + digits)
+
+
+def _inverse_permutation(order: np.ndarray) -> np.ndarray:
+    """``inverse[order[i]] = i`` (int64)."""
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.arange(len(order), dtype=np.int64)
+    return inverse
+
+
+def _decimal_repr_rank(n: int) -> np.ndarray:
+    """Rank of each vertex ``0..n-1`` under ``repr`` ordering.
+
+    >>> _decimal_repr_rank(12).tolist()  # 0,1,10,11,2,..,9
+    [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3]
+    """
+    return _inverse_permutation(_decimal_repr_order(n))
 
 
 def _resolve_index_dtype(index_dtype, n, directed_edges, limit):
@@ -295,6 +331,38 @@ def _resolve_index_dtype(index_dtype, n, directed_edges, limit):
     return np.dtype(np.int32 if fits else np.int64)
 
 
+def _canonical_keys(arr: np.ndarray, wide_n: np.uint64) -> tuple:
+    """``(keys, self_loops)`` of one validated edge block: the sorted
+    distinct canonical keys ``min * n + max`` of its non-loop rows."""
+    u = arr[:, 0].astype(np.uint64)
+    v = arr[:, 1].astype(np.uint64)
+    keep = u != v
+    low = np.minimum(u, v)[keep]
+    high = np.maximum(u, v)[keep]
+    del u, v
+    low *= wide_n
+    low += high
+    return sorted_unique(low), len(arr) - len(high)
+
+
+def _split_by_residue(keys: np.ndarray, buckets: int):
+    """Yield ``(t, part)``: a copy of the keys with ``key % buckets == t``,
+    in key order.  Residues narrowed to 8/16 bits make the stable
+    argsort a radix sort."""
+    narrow = (
+        np.uint8 if buckets <= 1 << 8
+        else np.uint16 if buckets <= 1 << 16 else np.int64
+    )
+    residues = (keys % np.uint64(buckets)).astype(narrow)
+    order = np.argsort(residues, kind="stable")
+    counts = np.bincount(residues, minlength=buckets)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    scattered = keys[order]
+    del residues, order
+    for t in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        yield t, scattered[bounds[t]:bounds[t + 1]].copy()
+
+
 def compile_edge_stream(
     blocks: Iterable[np.ndarray],
     n: int,
@@ -313,9 +381,10 @@ def compile_edge_stream(
     ``v→u``), and duplicates are removed **out-of-core**: candidates are
     canonicalized to ``min * n + max`` keys, hash-partitioned into
     ``buckets`` residue classes (chunked radix pass: bucket key sets are
-    disjoint, so per-bucket ``np.unique`` is a global dedup), and the
-    final CSR is assembled per ``row_chunk`` rows — no step holds all
-    candidate edges in one sort.
+    disjoint, so a per-bucket :func:`sorted_unique` is a global dedup),
+    and the final CSR is assembled per ``row_chunk`` rows — no step
+    holds all candidate edges in one sort.  Blocks of a non-integer
+    dtype (floats, bools) raise :class:`ValueError`.
 
     Index/indptr dtypes auto-narrow to int32 when ``n`` and the directed
     edge count both fit (``index_dtype="auto"``); ``"int32"`` makes an
@@ -345,13 +414,18 @@ def compile_edge_stream(
     tracker = _PeakTracker()
     wide_n = np.uint64(n)
 
-    # Pass 1 — canonicalize + hash-partition candidate keys by residue.
+    # Pass 1 — canonicalize, dedup per block, hash-partition by residue.
     bucket_parts: list[list[np.ndarray]] = [[] for _ in range(buckets)]
     candidates = loops = block_count = 0
     for block in blocks:
         arr = np.asarray(block)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edge blocks must have shape (k, 2)")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(
+                f"edge block {block_count} has non-integer dtype "
+                f"{arr.dtype}; endpoints must be integers"
+            )
         block_count += 1
         if not len(arr):
             continue
@@ -361,107 +435,119 @@ def compile_edge_stream(
                 f"edge endpoint out of range [0, {n}) in block "
                 f"{block_count - 1}"
             )
-        u, v = arr[:, 0], arr[:, 1]
-        keep = u != v
-        loops += int(len(arr) - keep.sum())
-        u, v = u[keep], v[keep]
-        keys = np.unique(
-            np.minimum(u, v).astype(np.uint64) * wide_n
-            + np.maximum(u, v).astype(np.uint64)
-        )
-        tracker.add(arr.nbytes + 2 * keys.nbytes)
-        residues = (keys % np.uint64(buckets)).astype(np.int64)
-        order = np.argsort(residues, kind="stable")
-        counts = np.bincount(residues, minlength=buckets)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        scattered = keys[order]
-        for t in np.flatnonzero(counts):
-            part = scattered[bounds[t]:bounds[t + 1]].copy()
+        keys, block_loops = _canonical_keys(arr, wide_n)
+        loops += block_loops
+        # Peak of _canonical_keys: the block, both endpoint columns as
+        # uint64, the loop mask, min/max before and after it, the sort.
+        tracker.transient(arr.nbytes + 48 * len(arr))
+        # The keys, their residues, residue order and scattered copy.
+        split = 3 * keys.nbytes + len(keys)
+        tracker.add(split)
+        for t, part in _split_by_residue(keys, buckets):
             bucket_parts[t].append(part)
             tracker.add(part.nbytes)
-        tracker.pop(arr.nbytes + 2 * keys.nbytes)
+        tracker.pop(split)
+        keys = part = None
 
-    # Pass 2 — per-bucket global dedup + degree accumulation.
-    degrees = np.zeros(n, dtype=np.int64)
-    tracker.add(degrees.nbytes)
+    # Pass 2 — per-bucket global dedup.  Buckets are released as they
+    # are consumed; their order never reaches the output (pass 4 sorts).
     bucket_unique: list[np.ndarray] = []
-    m = 0
-    pre_dedup = 0
-    for parts in bucket_parts:
+    for t in range(buckets):
+        parts, bucket_parts[t] = bucket_parts[t], []
         if not parts:
             continue
-        pre_dedup += sum(len(p) for p in parts)
         merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        unique = np.unique(merged)
-        tracker.add(merged.nbytes + unique.nbytes)
-        tracker.pop(sum(p.nbytes for p in parts) + merged.nbytes)
-        endpoints_u = (unique // wide_n).astype(np.int64)
-        endpoints_v = (unique % wide_n).astype(np.int64)
-        degrees += np.bincount(endpoints_u, minlength=n)
-        degrees += np.bincount(endpoints_v, minlength=n)
+        unique = sorted_unique(merged)
+        # The concatenation (if any), the dedup's sorted copy and mask.
+        scratch = (len(parts) > 1) * merged.nbytes + merged.nbytes
+        tracker.transient(scratch + len(merged) + unique.nbytes)
+        tracker.add(unique.nbytes)
+        tracker.pop(sum(p.nbytes for p in parts))
         bucket_unique.append(unique)
-        m += len(unique)
-    bucket_parts.clear()
+    parts = merged = None
+    m = sum(len(unique) for unique in bucket_unique)
     duplicates = (candidates - loops) - m
 
     # Pass 3 — dtype decision + CSR skeleton.
     directed = 2 * m
     dtype = _resolve_index_dtype(index_dtype, n, directed, limit)
     indptr64 = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr64[1:])
-    indptr = indptr64.astype(dtype)
     indices = np.empty(directed, dtype=dtype)
-    rank = _decimal_repr_rank(n)
-    tracker.add(indptr64.nbytes + indptr.nbytes + indices.nbytes + rank.nbytes)
+    repr_order = _decimal_repr_order(n)
+    rank = _inverse_permutation(repr_order)
+    by_rank = repr_order.astype(dtype)
+    del repr_order
+    tracker.add(
+        indptr64.nbytes + indices.nbytes + rank.nbytes + by_rank.nbytes
+    )
 
-    # Pass 4 — chunked assembly: scatter directed edges into row-range
-    # chunks (narrowed storage), then sort each chunk by (row, repr rank)
-    # and write its contiguous CSR slice.
+    # Pass 4 — chunked assembly.  Each directed edge ``row→col`` becomes
+    # the key ``row * n + rank[col]`` (unique, since (row, col) is), and
+    # the keys are scattered into ``row_chunk``-row chunks.  Sorting a
+    # chunk's keys orders it by (row, repr rank): ``key // n`` counts the
+    # row degrees and ``by_rank[key % n]`` recovers the columns as the
+    # chunk's contiguous CSR slice.
     num_chunks = -(-n // row_chunk)
-    chunk_rows: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
-    chunk_cols: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
-    for unique in bucket_unique:
-        endpoints_u = (unique // wide_n).astype(np.int64)
-        endpoints_v = (unique % wide_n).astype(np.int64)
-        rows = np.concatenate([endpoints_u, endpoints_v])
-        cols = np.concatenate([endpoints_v, endpoints_u])
-        tracker.add(rows.nbytes + cols.nbytes)
-        chunk_ids = rows // row_chunk
-        order = np.argsort(chunk_ids, kind="stable")
-        rows, cols = rows[order], cols[order]
-        counts = np.bincount(chunk_ids, minlength=num_chunks)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        for c in np.flatnonzero(counts):
-            lo, hi = bounds[c], bounds[c + 1]
-            row_part = rows[lo:hi].astype(dtype)
-            col_part = cols[lo:hi].astype(dtype)
-            chunk_rows[c].append(row_part)
-            chunk_cols[c].append(col_part)
-            tracker.add(row_part.nbytes + col_part.nbytes)
-        tracker.pop(rows.nbytes + cols.nbytes + unique.nbytes)
-    bucket_unique.clear()
+    chunk_rows = np.minimum(np.arange(num_chunks + 1) * row_chunk, n)
+    chunk_starts = chunk_rows.astype(np.uint64) * wide_n
+    chunk_keys: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
+    rank_key = rank.view(np.uint64)
+    while bucket_unique:
+        unique = bucket_unique.pop()
+        half = len(unique)
+        low = unique // wide_n
+        high = unique % wide_n
+        keys = np.empty(2 * half, dtype=np.uint64)
+        np.multiply(low, wide_n, out=keys[:half])
+        keys[:half] += rank_key[high.view(np.int64)]
+        np.multiply(high, wide_n, out=keys[half:])
+        keys[half:] += rank_key[low.view(np.int64)]
+        del low, high
+        tracker.add(keys.nbytes)
+        tracker.transient(3 * unique.nbytes)  # low, high, a rank gather
+        if num_chunks == 1:
+            chunk_keys[0].append(keys)
+        else:
+            keys.sort()
+            bounds = np.searchsorted(keys, chunk_starts)
+            for c in np.flatnonzero(bounds[1:] > bounds[:-1]):
+                part = keys[bounds[c]:bounds[c + 1]].copy()
+                chunk_keys[c].append(part)
+                tracker.add(part.nbytes)
+            tracker.pop(keys.nbytes)
+        tracker.pop(unique.nbytes)
+        del unique, keys
+    start = 0
     for c in range(num_chunks):
-        if not chunk_rows[c]:
-            continue
-        rows = np.concatenate(chunk_rows[c]).astype(np.int64)
-        cols = np.concatenate(chunk_cols[c])
-        tracker.add(rows.nbytes + cols.nbytes)
+        parts, chunk_keys[c] = chunk_keys[c], []
         base = c * row_chunk
-        sort_key = (
-            (rows - base).astype(np.uint64) * wide_n
-            + rank[cols.astype(np.int64)].astype(np.uint64)
-        )
-        order = np.argsort(sort_key)  # keys unique: (row, col) unique
-        tracker.add(sort_key.nbytes + order.nbytes)
-        start = int(indptr64[base])
-        stop = int(indptr64[min(base + row_chunk, n)])
-        indices[start:stop] = cols[order]
-        tracker.pop(
-            sort_key.nbytes + order.nbytes + rows.nbytes + cols.nbytes
-            + sum(p.nbytes for p in chunk_rows[c])
-            + sum(p.nbytes for p in chunk_cols[c])
-        )
-        chunk_rows[c] = chunk_cols[c] = []
+        end = min(base + row_chunk, n)
+        if not parts:
+            indptr64[base + 1:end + 1] = start
+            continue
+        if len(parts) == 1:
+            keys = parts[0]
+        else:  # briefly beside its parts, then in their place
+            keys = np.concatenate(parts)
+            tracker.transient(keys.nbytes)
+        del parts
+        keys.sort()
+        rows = keys // wide_n
+        rows -= np.uint64(base)
+        degrees = np.bincount(rows.view(np.int64), minlength=end - base)
+        tracker.transient(rows.nbytes + degrees.nbytes)
+        np.cumsum(degrees, out=indptr64[base + 1:end + 1])
+        indptr64[base + 1:end + 1] += start
+        del rows, degrees
+        stop = start + len(keys)
+        np.remainder(keys, wide_n, out=keys)  # keys -> column repr ranks
+        tracker.transient(len(keys) * dtype.itemsize)  # the gather
+        indices[start:stop] = by_rank[keys.view(np.int64)]
+        tracker.pop(keys.nbytes)
+        del keys
+        start = stop
+    indptr = indptr64.astype(dtype)
+    tracker.add(indptr.nbytes)
 
     stats = CompileStats(
         n=n,

@@ -105,6 +105,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.congest.runtime.compile import sorted_unique
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -567,7 +569,7 @@ class FaultState:
                 self._tally(self.delayed, senders[sel[future]])
                 future_sel = sel[future]
                 arrivals = round_number + delays[future]
-                for arrival in np.unique(arrivals):
+                for arrival in sorted_unique(arrivals):
                     pick = future_sel[arrivals == arrival]
                     self._buffer.setdefault(int(arrival), []).append(
                         self._take(senders, receivers, columns, var, pick)

@@ -95,6 +95,57 @@ def _quantum_sizes(total: int) -> Iterator[tuple[int, int]]:
         yield full, tail
 
 
+def _powerlaw_cdf(n: int, gamma: float) -> np.ndarray:
+    """Normalized CDF of the Chung–Lu weights
+    ``(i + 1) ** (-1 / (gamma - 1))``; its last entry is exactly 1.0."""
+    weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (gamma - 1.0))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf
+
+
+#: Largest bucket count of the inverse-CDF table (a power of two).
+_MAX_CDF_BUCKETS = 1 << 20
+#: Linear steps a lookup takes before handing stragglers to searchsorted.
+_MAX_CDF_STEPS = 8
+
+
+def _bucketed_inverse_cdf(cdf: np.ndarray):
+    """An exact, cache-friendly ``np.searchsorted(cdf, u, side="right")``
+    for uniforms ``u`` in ``[0, 1)`` over a sorted ``cdf`` ending in 1.0.
+
+    ``[0, 1)`` is cut into ``K`` equal buckets, ``K`` the power of two
+    at or above ``len(cdf)`` (capped at :data:`_MAX_CDF_BUCKETS`, so the
+    table stays O(n) like the CDF).  ``lo[b]`` counts the CDF entries
+    ``<= b / K``.  Since ``b = floor(u * K)`` is exact for a power-of-two
+    ``K``, the answer for ``u`` lies in ``[lo[b], lo[b + 1]]``: start at
+    ``lo[b]`` and step while ``cdf[idx] <= u`` — at most the widest
+    bucket's ``lo[b + 1] - lo[b]`` vectorized steps, and the walk cannot
+    overshoot because ``cdf[answer] > u``.  Heavy-headed CDFs (``gamma``
+    near 1) pack many entries into one bucket; past
+    :data:`_MAX_CDF_STEPS` steps the few unfinished lookups fall back to
+    ``searchsorted`` itself.  Every lookup therefore equals
+    ``searchsorted`` element for element.
+    """
+    buckets = min(_MAX_CDF_BUCKETS, 1 << (len(cdf) - 1).bit_length())
+    lo_table = np.searchsorted(
+        cdf, np.arange(buckets + 1, dtype=np.float64) / buckets, side="right"
+    )
+    widest = int(np.max(lo_table[1:] - lo_table[:-1]))
+    steps = min(widest, _MAX_CDF_STEPS)
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        found = lo_table[(u * buckets).astype(np.int64)]
+        for _ in range(steps):
+            found += cdf[found] <= u
+        if widest > steps:
+            pending = np.flatnonzero(cdf[found] <= u)
+            found[pending] = np.searchsorted(cdf, u[pending], side="right")
+        return found
+
+    return lookup
+
+
 def stream_powerlaw_edges(
     n: int,
     m: int,
@@ -107,9 +158,13 @@ def stream_powerlaw_edges(
     vertices with expected degree of vertex ``i`` proportional to
     ``(i + 1) ** (-1 / (gamma - 1))`` (degree exponent ``gamma``).
 
-    Endpoints are drawn independently from the weight distribution
-    (inverse-CDF via ``searchsorted``), so the symmetrized simple graph
-    is the standard Chung–Lu model: heavy-tailed degrees, possibly
+    Endpoints are drawn independently from the weight distribution by
+    inverse CDF: a uniform ``u`` maps to the first vertex whose
+    cumulative weight exceeds ``u``.  The lookup is an exact bucketed
+    table (:func:`_bucketed_inverse_cdf`) equal element for element to
+    ``np.searchsorted(cdf, u, side="right")``, without its cache-missing
+    binary search over the whole CDF.  The symmetrized simple graph is
+    the standard Chung–Lu model: heavy-tailed degrees, possibly
     disconnected.  Yields ``(k, 2)`` int64 blocks.
     """
     if n < 1:
@@ -119,17 +174,15 @@ def stream_powerlaw_edges(
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1 (degree exponent)")
     key = _stream_key(seed, [_POWERLAW_TAG, n, m, hash(float(gamma))])
-    weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (gamma - 1.0))
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
+    lookup = _bucketed_inverse_cdf(_powerlaw_cdf(n, gamma))
 
     def quanta() -> Iterator[np.ndarray]:
         for qi, count in _quantum_sizes(m):
             generator = _quantum_generator(key, qi)
-            uniforms = generator.random(2 * count)
+            endpoints = lookup(generator.random(2 * count))
             block = np.empty((count, 2), dtype=np.int64)
-            block[:, 0] = np.searchsorted(cdf, uniforms[:count], side="right")
-            block[:, 1] = np.searchsorted(cdf, uniforms[count:], side="right")
+            block[:, 0] = endpoints[:count]
+            block[:, 1] = endpoints[count:]
             yield block
 
     return _reblock(quanta(), block_edges)

@@ -7,9 +7,12 @@ accounting."""
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.congest import Trial, run_many
 from repro.congest.network import Network
@@ -18,14 +21,20 @@ from repro.congest.runtime.compile import (
     GridTopology,
     INT32_LIMIT,
     StreamTopology,
+    _decimal_repr_order,
     _decimal_repr_rank,
     compile_edge_stream,
     compile_topology,
+    sorted_unique,
 )
 from repro.graphs.streaming import (
+    _MAX_CDF_BUCKETS,
+    _bucketed_inverse_cdf,
+    _powerlaw_cdf,
     materialize_edges,
     stream_powerlaw_edges,
     stream_random_regular_edges,
+    stream_rmat_edges,
 )
 
 
@@ -125,6 +134,13 @@ def test_stream_compile_rejects_bad_blocks():
         compile_edge_stream([np.arange(6)], 3)
     with pytest.raises(ValueError, match="index_dtype"):
         compile_edge_stream([np.array([[0, 1]])], 2, index_dtype="int16")
+    # Non-integer endpoints are rejected, never truncated or read as 0/1.
+    with pytest.raises(ValueError, match="block 0 has non-integer"):
+        compile_edge_stream([np.array([[0.5, 1.7], [1.2, 2.9]])], 3)
+    with pytest.raises(ValueError, match="block 1 has non-integer"):
+        compile_edge_stream(
+            [np.array([[0, 1]]), np.array([[True, False]])], 3
+        )
 
 
 def test_empty_and_loop_only_streams():
@@ -204,6 +220,104 @@ def test_decimal_repr_rank_matches_string_sort(n):
     rank = _decimal_repr_rank(n)
     order = np.argsort(rank)
     assert order.tolist() == sorted(range(n), key=repr)
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 2047])
+def test_decimal_repr_order_inverts_rank(n):
+    order = _decimal_repr_order(n)
+    assert order.tolist() == sorted(range(n), key=repr)
+    assert np.array_equal(_decimal_repr_rank(n)[order], np.arange(n))
+
+
+# ---------------------------------------------------------------------------
+# Sort-based dedup
+# ---------------------------------------------------------------------------
+INT64 = np.iinfo(np.int64)
+UINT64 = np.iinfo(np.uint64)
+
+
+@given(st.lists(st.integers(INT64.min, INT64.max), max_size=60))
+@example([])
+@example([INT64.min])
+@example([7] * 9)
+@example([INT64.max, INT64.min, 0, INT64.max, -1, INT64.min])
+def test_sorted_unique_matches_np_unique_int64(values):
+    array = np.array(values, dtype=np.int64)
+    result = sorted_unique(array)
+    assert result.dtype == np.int64
+    assert np.array_equal(result, np.unique(array))
+
+
+@given(st.lists(st.integers(0, int(UINT64.max)), max_size=60))
+@example([])
+@example([int(UINT64.max)])
+@example([3] * 5)
+@example([int(UINT64.max), 0, int(UINT64.max), 1, 0])
+def test_sorted_unique_matches_np_unique_uint64(values):
+    array = np.array(values, dtype=np.uint64)
+    result = sorted_unique(array)
+    assert result.dtype == np.uint64
+    assert np.array_equal(result, np.unique(array))
+
+
+# ---------------------------------------------------------------------------
+# Golden graph content: sha256 of indptr + indices, recorded before the
+# sort-based dedup, sort-not-argsort assembly and bucketed power-law
+# sampler replaced np.unique, argsort and searchsorted.
+# ---------------------------------------------------------------------------
+GOLDEN_STREAMS = {
+    "powerlaw": (
+        lambda: stream_powerlaw_edges(2**14, 2**16, seed=7),
+        "5974e85285d3bf3eae4893e66512b6f03673e0ba89b4a2d264a0cbbdcb74321e",
+    ),
+    "rmat": (
+        lambda: stream_rmat_edges(14, 2**16, seed=7),
+        "1a3bd55627697c4c739869af105a2afef50e02e717b8bfc6dad8cf6df8ca4044",
+    ),
+    "regular": (
+        lambda: stream_random_regular_edges(2**14, 4, seed=7),
+        "481fabef9abb142d2491f6fd34b39be8f914edfd84cfa406c9eb4ff829962db8",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_STREAMS))
+@pytest.mark.parametrize(
+    "knobs", [{}, {"buckets": 7, "row_chunk": 1000}], ids=["default", "small"]
+)
+def test_stream_compile_golden_digests(family, knobs):
+    make, digest = GOLDEN_STREAMS[family]
+    topology = compile_edge_stream(make(), 2**14, **knobs)
+    content = topology.indptr.tobytes() + topology.indices.tobytes()
+    assert hashlib.sha256(content).hexdigest() == digest
+    assert str(topology.indptr.dtype) == "int32"
+    assert str(topology.indices.dtype) == "int32"
+
+
+# ---------------------------------------------------------------------------
+# Bucketed inverse-CDF sampler: equal to searchsorted, edge cases included
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("gamma", [1.5, 2.5, 3.7])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 4096])
+def test_bucketed_inverse_cdf_matches_searchsorted(n, gamma):
+    cdf = _powerlaw_cdf(n, gamma)
+    buckets = min(_MAX_CDF_BUCKETS, 1 << (n - 1).bit_length())
+    edges = np.arange(buckets + 1, dtype=np.float64) / buckets
+    probes = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 2.0),
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 2.0),
+        np.random.default_rng(n).random(10**5),
+    ])
+    probes = probes[(probes >= 0.0) & (probes < 1.0)]
+    lookup = _bucketed_inverse_cdf(cdf)
+    assert np.array_equal(
+        lookup(probes), np.searchsorted(cdf, probes, side="right")
+    )
 
 
 # ---------------------------------------------------------------------------

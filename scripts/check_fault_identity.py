@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Fault-matrix smoke: zero-fault identity on every registered plane.
+"""Fault-matrix smoke: zero-fault identity on every registered plane,
+and the pinned bytes of the fault schedules.
 
 The keystone contract of ``repro.congest.runtime.faults``: running with a
-zero-rate :class:`~repro.congest.FaultPlan` exercises the full fault
-machinery (masks drawn, gathers applied, counters folded) yet must be
+zero-rate :class:`~repro.congest.FaultPlan` goes through the fault seams
+(crash check, fate pass, delay buffer, counters folded) yet must be
 **byte-identical** — outputs, output ordering, and every
-``NetworkMetrics`` field — to running with no plan at all.  This script
-re-verifies that matrix standalone, one row per plane registered in
-``repro.congest.runtime``, with four columns:
+``NetworkMetrics`` field — to running with no plan at all.  A zero-rate
+knob draws no uniforms and builds no fate mask, so the identity holds by
+construction; this script checks it anyway.  It re-verifies that matrix
+standalone, one row per plane registered in ``repro.congest.runtime``,
+with four columns:
 
 * **zero-fault identity** — zero-rate plan ≡ no plan;
 * **faulty determinism** — the same seeded plan (all five fault knobs:
@@ -20,13 +23,20 @@ re-verifies that matrix standalone, one row per plane registered in
   (:mod:`repro.congest.runtime.recovery`) installed, a zero-rate plan
   must still be byte-identical to no plan at all.
 
+Determinism alone would not notice a change that shifts every schedule
+consistently, so the script then recomputes the golden digests of
+``tests/fault_golden.py`` (each knob alone and combined, the targeted
+adversaries, the recovery wrapper, heterogeneous grid batches) and fails
+on any mismatch.
+
 The deep cross-plane differentials live in ``tests/test_runtime.py``
 (coverage-enforced per registered plane); this is the quick CI face of
 the same contract, runnable anywhere::
 
     PYTHONPATH=src python scripts/check_fault_identity.py
 
-Exit status is non-zero if any plane breaks identity or determinism.
+Exit status is non-zero if any plane breaks identity or determinism, or
+any fault schedule moves off its golden digest.
 """
 
 from __future__ import annotations
@@ -35,7 +45,9 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from repro.congest import (
     ColumnarReliable,
@@ -49,6 +61,8 @@ from repro.congest import (
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
 from repro.congest.runtime.planes import get_plane
 from repro.graphs import triangulated_grid
+
+from fault_golden import CASES, GOLDEN, case_digest
 
 FAULT_SAMPLE_WORKLOADS = {
     "object": lambda horizon: LubyMISAlgorithm(horizon),
@@ -163,11 +177,18 @@ def main():
                      + (adversary != "ok") + (wrapper != "ok"))
         print(f"{name:<20} {identity:<20} {determinism:<20} "
               f"{adversary:<22} {wrapper:<20}")
+    print(f"\n{'golden schedule':<36} digest")
+    print("-" * 48)
+    for name in CASES:
+        verdict = "ok" if case_digest(name) == GOLDEN.get(name) else "MISMATCH"
+        failures += verdict != "ok"
+        print(f"{name:<36} {verdict}")
     if failures:
         print(f"\nFAIL: {failures} fault-matrix check(s) broken")
         return 1
     print("\nall planes: zero-fault identity, faulty/adversary determinism,"
-          " and wrapper identity hold")
+          " and wrapper identity hold; every fault schedule matches its"
+          " golden digest")
     return 0
 
 

@@ -91,22 +91,26 @@ def _cumsum0(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ragged_gather(pool, starts, lengths):
-    """Concatenate the pool segments ``[starts[i], starts[i]+lengths[i])``
-    — the CSR scatter every variable-width delivery step reduces to
-    (broadcast fan-out, receiver-sort permutation, masked gathers).
-    Pure array ops: one arange minus a repeat of the output offsets plus
-    a repeat of the input offsets."""
+def _ragged_index(starts, lengths):
+    """Positions of the concatenated segments ``[starts[i], starts[i] +
+    lengths[i])``: one arange minus a repeat of the output offsets plus a
+    repeat of the input offsets."""
     total = int(lengths.sum())
     if total == 0:
-        return np.empty(0, dtype=pool.dtype)
+        return np.empty(0, dtype=np.int64)
     out_starts = _cumsum0(lengths)
-    idx = (
+    return (
         np.arange(total, dtype=np.int64)
         - np.repeat(out_starts[:-1], lengths)
         + np.repeat(starts, lengths)
     )
-    return pool[idx]
+
+
+def _ragged_gather(pool, starts, lengths):
+    """Concatenate the pool segments ``[starts[i], starts[i]+lengths[i])``
+    — the CSR scatter every variable-width delivery step reduces to
+    (broadcast fan-out, receiver-sort permutation, masked gathers)."""
+    return pool[_ragged_index(starts, lengths)]
 
 
 def _segment_reduce(values, indptr, ufunc, empty, out_dtype=None):
@@ -394,6 +398,7 @@ class ColumnarContext:
         "n", "vertices", "indptr", "indices", "degrees", "repr_rank",
         "inputs", "rng", "round_number", "inbox", "halted",
         "_index_of", "_index_dtype", "_spec", "_emissions", "_halted_count",
+        "_plane",
     )
 
     def __init__(self, topology, plane, spec, inputs_list, rng=None) -> None:
@@ -413,6 +418,7 @@ class ColumnarContext:
         self._spec = spec
         self._emissions: list = []
         self._halted_count = 0
+        self._plane = plane
 
     def index_of(self, vertex: Any) -> int:
         """Dense index of a vertex id."""
@@ -720,16 +726,44 @@ def broadcast_transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple:
     return t_senders, _cumsum0(np.bincount(indices, minlength=n))
 
 
+def slot_ranks(indptr: np.ndarray, indices: np.ndarray,
+               edge_keys: np.ndarray) -> np.ndarray:
+    """Canonical edge rank of every CSR slot.
+
+    A directed edge's canonical rank is the position of its ``sender * n
+    + receiver`` key in the sorted ``edge_keys`` table — the index every
+    fault draw and recovery flag is read at.  Entry ``j`` is the rank of
+    CSR slot ``j``: sender ``s`` with ``indptr[s] <= j < indptr[s + 1]``,
+    receiver ``indices[j]``.
+
+    >>> import networkx as nx
+    >>> from repro.congest.runtime.compile import compile_topology
+    >>> topology = compile_topology(nx.star_graph(2))  # 0-1, 0-2
+    >>> plane = topology.columnar_plane()
+    >>> plane.edge_keys.tolist()  # (0,1) (0,2) (1,0) (2,0)
+    [1, 2, 3, 6]
+    >>> slot_ranks(topology.indptr, topology.indices, plane.edge_keys).tolist()
+    [0, 1, 2, 3]
+    """
+    n = len(indptr) - 1
+    degrees = indptr[1:].astype(np.int64) - indptr[:-1]
+    senders = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    return np.searchsorted(
+        edge_keys, senders * n + indices.astype(np.int64, copy=False)
+    )
+
+
 class CompiledDeliveryPlane:
     """Columnar-plane arrays compiled lazily per topology (cached on the
     :class:`~repro.congest.runtime.compile.CompiledTopology`, so they share its
     per-graph memoization and invalidation).  The
     :func:`broadcast_transpose` is built on the first round dense enough
-    to take :func:`_deliver_broadcast`."""
+    to take :func:`_deliver_broadcast`; :attr:`slot_rank` on the first
+    fault or recovery use."""
 
     __slots__ = (
         "degrees", "edge_senders", "edge_keys", "repr_rank",
-        "neighbor_index_sets", "_csr", "_transpose",
+        "neighbor_index_sets", "_csr", "_transpose", "_slot_rank",
     )
 
     def __init__(self, topology) -> None:
@@ -761,6 +795,17 @@ class CompiledDeliveryPlane:
         if transpose is None:
             transpose = self._transpose = broadcast_transpose(*self._csr)
         return transpose
+
+    @property
+    def slot_rank(self) -> np.ndarray:
+        """CSR slot → canonical edge rank — see :func:`slot_ranks`."""
+        # The slot stays unset until the first fault or recovery use, so
+        # building a plane costs nothing extra.
+        try:
+            return self._slot_rank
+        except AttributeError:
+            self._slot_rank = slot_ranks(*self._csr, self.edge_keys)
+            return self._slot_rank
 
 
 # ---------------------------------------------------------------------------
@@ -905,6 +950,8 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     column_parts: dict = {name: [] for name in names}
     var_pool_parts: dict = {name: [] for name in var_names}
     var_len_parts: dict = {name: [] for name in var_names}
+    # Canonical edge ranks of the round's messages, for the fault pass.
+    rank_parts: list | None = [] if fault_state is not None else None
     indptr = topology.indptr
     indices = topology.indices
     for senders, receivers, columns, var_data in groups:
@@ -916,7 +963,14 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             deg = degrees[senders]
             if not deg.any():
                 continue
-            message_receivers = _ragged_gather(indices, indptr[senders], deg)
+            if rank_parts is None:
+                message_receivers = _ragged_gather(
+                    indices, indptr[senders], deg
+                )
+            else:
+                slots = _ragged_index(indptr[senders], deg)
+                message_receivers = indices[slots]
+                rank_parts.append(plane.slot_rank[slots])
             message_senders = np.repeat(senders, deg)
             message_columns = {
                 name: np.repeat(columns[name], deg) for name in names
@@ -964,11 +1018,13 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                 message_senders.astype(np.int64, copy=False) * n
                 + message_receivers
             )
-            if plane.edge_keys.size:
-                positions = np.searchsorted(plane.edge_keys, keys)
-                positions = np.minimum(positions, plane.edge_keys.size - 1)
-                ok = plane.edge_keys[positions] == keys
+            edge_keys = plane.edge_keys
+            if edge_keys.size:
+                positions = np.searchsorted(edge_keys, keys)
+                np.minimum(positions, edge_keys.size - 1, out=positions)
+                ok = edge_keys[positions] == keys
             else:
+                positions = np.zeros(len(keys), dtype=np.int64)
                 ok = np.zeros(len(keys), dtype=bool)
             cap = limit if scalar_limit else limit[message_senders]
             over = bits > cap
@@ -1000,6 +1056,9 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                     int(bits[bad_bandwidth]), bandwidth_bits,
                 )
             acc.add(message_senders, bits)
+            if rank_parts is not None:
+                # Validated: every position is the message's edge rank.
+                rank_parts.append(positions)
         senders_parts.append(message_senders)
         receivers_parts.append(message_receivers)
         for name in names:
@@ -1045,10 +1104,15 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             for name in var_names
         }
     if fault_state is not None:
+        all_ranks = (
+            np.empty(0, dtype=np.int64) if not rank_parts
+            else rank_parts[0] if len(rank_parts) == 1
+            else np.concatenate(rank_parts)
+        )
         all_senders, all_receivers, merged_columns, merged_var = (
             fault_state.columnar_step(
                 round_number, all_senders, all_receivers,
-                merged_columns, merged_var,
+                merged_columns, merged_var, all_ranks,
             )
         )
         if not len(all_senders):

@@ -108,43 +108,47 @@ def bits_for_payload(payload: Any) -> int:
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
+def _smeared_bit_length(work: "np.ndarray") -> "np.ndarray":
+    """Per-element bit length of an int64 / uint64 array, clobbering
+    ``work``: smearing each value's highest set bit into every bit below
+    it (``w |= w >> s`` for s = 1, 2, …, 32) leaves ``2**bit_length -
+    1``, whose popcount is the length."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        work |= work >> shift
+    return np.bitwise_count(work).astype(np.int64)
+
+
 def bit_length_array(values: "np.ndarray") -> "np.ndarray":
     """Exact per-element ``int.bit_length`` of a non-negative int64 array.
 
-    Pure shift-and-mask binary reduction — no floating point, so it is
-    exact on every value (``np.log2`` would misround near powers of two).
+    Integer smear-and-popcount only — no floating point, so it is exact
+    on every value (``np.log2`` would misround near powers of two).
     ``0`` maps to ``0``, like ``(0).bit_length()``.
+
+    >>> bit_length_array(np.array([0, 1, 7, 8, 2**63 - 1])).tolist()
+    [0, 1, 3, 4, 63]
     """
     values = np.asarray(values, dtype=np.int64)
     if np.any(values < 0):
         raise ValueError("bit_length_array takes non-negative values")
-    work = values.copy()
-    out = np.zeros(values.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = work >= (np.int64(1) << shift)
-        out[mask] += shift
-        work[mask] >>= shift
-    out += work > 0
-    return out
+    return _smeared_bit_length(values.copy())
 
 
 def bits_for_int_array(values: "np.ndarray") -> "np.ndarray":
     """Vectorized :func:`bits_for_int`: signed encoding size per element.
 
     Agrees elementwise with the scalar helper — ``0`` costs one bit,
-    negatives cost one sign bit extra — over the full int64 range
-    (``np.abs`` overflows on int64 min, so that one value is patched to
-    the scalar answer, 65 bits).
+    negatives cost one sign bit extra — over the full int64 range:
+    ``np.abs`` wraps int64 min to itself, which read as uint64 is its
+    true magnitude ``2**63`` (64 bits, plus the sign: 65).
+
+    >>> bits_for_int_array(np.array([0, 7, -7, -2**63])).tolist()
+    [1, 3, 4, 65]
     """
     values = np.asarray(values, dtype=np.int64)
-    negative = values < 0
-    magnitude = np.abs(values)
-    int64_min = magnitude < 0  # np.abs(int64 min) wraps to itself
-    magnitude[int64_min] = 0
-    bits = bit_length_array(magnitude)
-    bits[values == 0] = 1
-    bits += negative
-    bits[int64_min] = 65
+    bits = _smeared_bit_length(np.abs(values).view(np.uint64))
+    np.maximum(bits, 1, out=bits)  # only 0 has bit length 0
+    bits += values < 0
     return bits
 
 

@@ -598,13 +598,14 @@ class StreamDeliveryPlane:
     the contract of :class:`~repro.congest.columnar.CompiledDeliveryPlane`
     with every O(m)/O(n·objects) table deferred: ``edge_keys`` builds on
     the first unicast emission, ``broadcast_transpose`` on the first
-    round dense enough for the sort-free broadcast kernel,
+    round dense enough for the sort-free broadcast kernel, ``slot_rank``
+    on the first fault or recovery use,
     ``neighbor_index_sets`` (Python frozensets — O(n) objects) only if
     the columnar *reference* executor runs.  Broadcast workloads at 10^6
     nodes never build the edge keys or the sets."""
 
     __slots__ = ("degrees", "repr_rank", "_topology", "_edge_keys",
-                 "_neighbor_index_sets", "_transpose")
+                 "_neighbor_index_sets", "_transpose", "_slot_rank")
 
     def __init__(self, topology: "StreamTopology") -> None:
         self.degrees = (
@@ -644,6 +645,22 @@ class StreamDeliveryPlane:
                 topology.indptr, topology.indices
             )
         return transpose
+
+    @property
+    def slot_rank(self) -> np.ndarray:
+        """CSR slot → canonical edge rank — see
+        :func:`~repro.congest.columnar.slot_ranks`."""
+        # Unset until the first fault or recovery use.
+        try:
+            return self._slot_rank
+        except AttributeError:
+            from repro.congest.columnar import slot_ranks
+
+            topology = self._topology
+            self._slot_rank = slot_ranks(
+                topology.indptr, topology.indices, self.edge_keys
+            )
+            return self._slot_rank
 
     @property
     def neighbor_index_sets(self) -> list:
@@ -782,9 +799,11 @@ class _GridDeliveryPlane:
     in this repository) never pay the O(Σm) key sort.  The broadcast
     transpose is built lazily too, composed block-diagonally from the
     blocks' cached transposes — concatenation with row and edge offsets,
-    never a per-sweep sort."""
+    never a per-sweep sort — and so is ``slot_rank``, from the blocks'
+    cached tables."""
 
-    __slots__ = ("degrees", "repr_rank", "_grid", "_edge_keys", "_transpose")
+    __slots__ = ("degrees", "repr_rank", "_grid", "_edge_keys", "_transpose",
+                 "_slot_rank")
 
     def __init__(self, grid: "GridTopology") -> None:
         self.degrees = grid.indptr[1:] - grid.indptr[:-1]
@@ -822,6 +841,24 @@ class _GridDeliveryPlane:
                 np.concatenate(sender_parts), np.concatenate(indptr_parts)
             )
         return transpose
+
+    @property
+    def slot_rank(self) -> np.ndarray:
+        """CSR slot → canonical edge rank of the grid — see
+        :func:`~repro.congest.columnar.slot_ranks`.  Composed from the
+        blocks' cached tables: block key ranges are disjoint and
+        ascending, so a block's grid rank is its edge offset plus its
+        local rank."""
+        try:
+            return self._slot_rank
+        except AttributeError:
+            parts = []
+            edge_offset = 0
+            for block in self._grid.blocks:
+                parts.append(delivery_plane(block).slot_rank + edge_offset)
+                edge_offset += len(block.indices)
+            self._slot_rank = np.concatenate(parts)
+            return self._slot_rank
 
     @property
     def edge_keys(self) -> np.ndarray:

@@ -15,20 +15,28 @@ injects the same faults with zero algorithm changes**.
 
 Seed discipline
 ---------------
-All randomness is counter-based (:class:`numpy.random.Philox`), keyed by
-``(plan.seed, round)`` with the per-vertex / per-edge decision read at a
-canonical index: vertices use their dense row, messages use their
-directed edge's rank in the sorted ``sender * n + receiver`` key table
-(the same table the columnar plane validates unicasts against).  A fault
-decision is therefore a pure function of ``(seed, round, edge)`` —
-independent of emission order, of the executing plane, and of the
-algorithm's own RNG streams — so the object engine, its reference loop,
-the columnar plane, and the trial-major grid all realize byte-identical
-fault schedules.  On a grid, each trial block draws from its *own*
-plan's Philox stream and its edge ranks decompose as
-``block edge offset + local rank`` (block key ranges are disjoint and
-ordered), so a batched trial sees exactly the faults its single run
-would.
+All randomness is counter-based (:class:`numpy.random.Philox`).  The
+contract is the stream layout: per block and round, the doubles of
+``Generator(Philox(key=[plan.seed, round])).random(n + 4m)`` are ``n``
+crash draws (by dense row), then ``m`` each for drop, dup, delay and
+corrupt (by canonical edge rank: the position of the directed edge's
+``sender * n + receiver`` key in the delivery plane's sorted
+``edge_keys``).  A block reads only the segments of knobs it can fire
+(:func:`philox_uniforms` jumps straight to a segment), so a plan that
+sets one knob draws ``m`` doubles per round, not ``n + 4m``.
+
+A fault decision is therefore a pure function of ``(seed, round,
+edge)`` — independent of emission order, of the executing plane, and of
+the algorithm's own RNG streams — so the object engine, its reference
+loop, the columnar plane, and the trial-major grid all realize
+byte-identical fault schedules.  The columnar plane hands
+:meth:`FaultState.columnar_step` ranks it already has (unicast
+validation positions, the plane's cached ``slot_rank`` for broadcast
+copies); the object seam binary-searches the same keys.  On a grid,
+each trial block draws from its *own* plan's Philox stream and its edge
+ranks decompose as ``block edge offset + local rank`` (block key ranges
+are disjoint and ordered), so a batched trial sees exactly the faults
+its single run would.
 
 Semantics
 ---------
@@ -81,13 +89,14 @@ changes:
   ``crash`` and ``delay`` stay i.i.d. under ``budget``.
 
 Static targets are compiled into the per-edge/per-vertex rate tables at
-:class:`FaultState` construction, so the Philox draw discipline — and
+:class:`FaultState` construction, so the Philox stream layout — and
 the zero-rate byte-identity keystone — is unchanged.
 
 The keystone property, enforced per plane by ``tests/test_runtime.py``:
-a zero-rate plan runs the full fault machinery (draws, fate masks,
-merge) yet is **byte-identical** — outputs and every metrics counter —
-to running with no plan at all.
+a zero-rate plan goes through every fault seam (crash check, fate pass,
+delay buffer, counter fold) yet is **byte-identical** — outputs and
+every metrics counter — to running with no plan at all.  It holds by
+construction: a zero-rate knob draws nothing and builds no fate mask.
 
 >>> plan = FaultPlan.parse("drop=0.25,delay=2,seed=7")
 >>> (plan.drop, plan.delay, plan.seed)
@@ -105,7 +114,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.congest.runtime.compile import sorted_unique
+from repro.congest.runtime.compile import delivery_plane
+
+#: The edge knobs in stream order: block ``t``'s per-round Philox stream
+#: holds ``n_t`` crash uniforms, then ``m_t`` for each of these.
+_EDGE_KNOBS = ("drop", "dup", "delay", "corrupt")
+#: The knobs a budget adversary decides from traffic instead of draws.
+_BUDGET_KNOBS = ("drop", "dup", "corrupt")
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -233,6 +249,41 @@ def _cumsum0(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def philox_uniforms(bit_generator, seed: int, round_number: int,
+                    offset: int, count: int) -> np.ndarray:
+    """Doubles ``offset, …, offset + count - 1`` of the stream
+    ``Generator(Philox(key=[seed, round_number])).random()``, without
+    drawing the ``offset`` doubles before them.
+
+    Philox is counter-based: counter value ``c`` yields raw words
+    ``4(c-1) … 4c-1`` of the stream, and ``Generator.random`` turns raw
+    word ``i`` into double ``i`` as ``(word >> 11) * 2**-53``.  So
+    re-keying ``bit_generator`` (any ``Philox``, reused across calls) at
+    counter ``offset // 4`` with an empty buffer and discarding ``offset
+    % 4`` words starts it at word ``offset``.
+
+    >>> full = np.random.Generator(np.random.Philox(key=[3, 5])).random(10)
+    >>> part = philox_uniforms(np.random.Philox(), 3, 5, 6, 3)
+    >>> bool((part == full[6:9]).all())
+    True
+    """
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([offset // 4, 0, 0, 0], dtype=np.uint64),
+            # Converted as Philox(key=[seed, round_number]) converts it.
+            "key": np.asarray([seed, round_number]).astype(np.uint64),
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if offset % 4:
+        bit_generator.random_raw(offset % 4)
+    return (bit_generator.random_raw(count) >> 11) * 2.0 ** -53
+
+
 def _flip_int_leaves(value):
     """Flip the low bit of every integer leaf of a payload (bools
     negate); non-integer leaves pass through unchanged.
@@ -312,32 +363,15 @@ class FaultState:
         )
         self.vertex_offsets = _cumsum0(sizes)
         self.n = int(self.vertex_offsets[-1])
-        # Canonical directed-edge ranks: each block's sorted
-        # (sender * n + receiver) keys, shifted into grid row space.
-        # Block key ranges are disjoint and ascending, so the
-        # concatenation is globally sorted and a block's global rank is
-        # its edge offset plus its local rank — grid draws decompose
-        # into per-trial draws exactly.
-        key_parts = []
-        edge_counts = []
-        n_total = self.n
-        for t, topology in enumerate(self._topologies):
-            off = int(self.vertex_offsets[t])
-            degrees = topology.indptr[1:] - topology.indptr[:-1]
-            senders = np.repeat(
-                np.arange(topology.n, dtype=np.int64) + off, degrees
-            )
-            key_parts.append(
-                np.sort(
-                    senders * n_total
-                    + (topology.indices.astype(np.int64, copy=False) + off)
-                )
-            )
-            edge_counts.append(len(key_parts[-1]))
-        self.edge_keys = (
-            key_parts[0] if len(key_parts) == 1
-            else np.concatenate(key_parts)
-        )
+        # Same-size blocks (seed sweeps over one graph) find a row's
+        # trial by division; uneven ones binary-search the offsets.
+        self._block_size = int(sizes[0]) if (sizes == sizes[0]).all() else 0
+        # Canonical directed-edge ranks: block t's edges are ranked by
+        # its plane's sorted (sender * n + receiver) keys, shifted by its
+        # edge offset.  On a grid the block key ranges are disjoint and
+        # ascending, so that is exactly the grid plane's own ranking —
+        # grid draws decompose into per-trial draws exactly.
+        edge_counts = [len(topology.indices) for topology in self._topologies]
         self.edge_offsets = _cumsum0(np.array(edge_counts, dtype=np.int64))
         self.edges = int(self.edge_offsets[-1])
         # Per-vertex / per-edge fault tables, indexed by dense row /
@@ -357,6 +391,8 @@ class FaultState:
         )
         self.budget_blocks = np.zeros(self.trials, dtype=bool)
         self._compile_targets()
+        self._live_blocks()
+        self._bit_generator = np.random.Philox()
         self.crashed = np.zeros(self.n, dtype=bool)
         self.dropped = np.zeros(self.trials, dtype=np.int64)
         self.duplicated = np.zeros(self.trials, dtype=np.int64)
@@ -368,9 +404,6 @@ class FaultState:
         self._crashed_rows: list[np.ndarray] = []  # crash order
         self._buffer: dict[int, list] = {}   # arrival round → [batch, …]
         self._pending: dict[int, list] = {}  # arrival round → [(i, j, msg)]
-        self._draw_round = -1
-        self._draws: tuple = ()
-        self._rank_dict: dict | None = None
 
     @classmethod
     def for_single(cls, plan: FaultPlan, topology) -> "FaultState":
@@ -387,9 +420,8 @@ class FaultState:
     def _compile_targets(self) -> None:
         """Fold each block's ``target`` selector into its slice of the
         rate tables (static targets) or flag it adaptive (``budget``).
-        Rates on untargeted vertices/edges drop to zero; the Philox draw
+        Rates on untargeted vertices/edges drop to zero; the Philox stream
         layout is untouched, so zero-rate identity survives verbatim."""
-        n_total = self.n
         for t, (plan, topology) in enumerate(
             zip(self._plans, self._topologies)
         ):
@@ -402,9 +434,9 @@ class FaultState:
             off = int(self.vertex_offsets[t])
             lo = int(self.edge_offsets[t])
             hi = int(self.edge_offsets[t + 1])
-            keys = self.edge_keys[lo:hi]
-            senders = keys // n_total - off
-            receivers = keys % n_total - off
+            keys = delivery_plane(topology).edge_keys
+            senders = keys // topology.n
+            receivers = keys % topology.n
             if name == "degree":
                 frac = float(arg) if arg else 0.25
                 degrees = topology.indptr[1:] - topology.indptr[:-1]
@@ -448,60 +480,83 @@ class FaultState:
         )
 
     # -- counter-based draws -------------------------------------------------
-    def _uniforms(self, round_number: int) -> tuple:
-        """Cache one round's uniforms: per block, one Philox stream keyed
-        ``(seed, round)`` yields ``n`` crash draws then ``m`` draws each
-        for drop, dup, delay, and corrupt — indexed by dense row / edge
-        rank.  The corrupt stream is appended *after* the original four,
-        so pre-corruption fault schedules are byte-identical to runs
-        recorded before the knob existed."""
-        if self._draw_round == round_number:
-            return self._draws
-        streams: tuple = ([], [], [], [], [])
-        for t, plan in enumerate(self._plans):
+    def _live_blocks(self) -> None:
+        """Record which blocks read which stream segment.  A block reads
+        a knob's segment only where its rate table is non-zero somewhere
+        (so a zero-rate knob draws nothing and decides nothing); budget
+        blocks pick drop/dup/corrupt fates from the round's traffic, so
+        they read only the crash and delay segments."""
+        firing = {  # knob -> (table whose non-zero entries fire it, offsets)
+            "crash": (self.crash_p, self.vertex_offsets),
+            "drop": (self.drop_p, self.edge_offsets),
+            "dup": (self.dup_p, self.edge_offsets),
+            "delay": (self.delay_span - 1, self.edge_offsets),
+            "corrupt": (self.corrupt_p, self.edge_offsets),
+        }
+        self._live = {
+            knob: [
+                t for t in range(self.trials)
+                if table[offsets[t]:offsets[t + 1]].any()
+                and not (self.budget_blocks[t] and knob in _BUDGET_KNOBS)
+            ]
+            for knob, (table, offsets) in firing.items()
+        }
+
+    def _uniforms(self, round_number: int, knob: str):
+        """This round's uniforms for ``knob`` — per dense row for crash,
+        per edge rank otherwise — or ``None`` when no block reads that
+        segment.  Blocks that do not read it hold zeros, which no
+        zero-rate fate compares true."""
+        blocks = self._live[knob]
+        if not blocks:
+            return None
+        crash = knob == "crash"
+        offsets = self.vertex_offsets if crash else self.edge_offsets
+        segment = 0 if crash else _EDGE_KNOBS.index(knob)
+
+        def draw(t):
             n_b = int(self.vertex_offsets[t + 1] - self.vertex_offsets[t])
             m_b = int(self.edge_offsets[t + 1] - self.edge_offsets[t])
-            generator = np.random.Generator(
-                np.random.Philox(key=[plan.seed, round_number])
+            start, count = (0, n_b) if crash else (n_b + segment * m_b, m_b)
+            return philox_uniforms(
+                self._bit_generator, self._plans[t].seed, round_number,
+                start, count,
             )
-            u = generator.random(n_b + 4 * m_b)
-            streams[0].append(u[:n_b])
-            streams[1].append(u[n_b:n_b + m_b])
-            streams[2].append(u[n_b + m_b:n_b + 2 * m_b])
-            streams[3].append(u[n_b + 2 * m_b:n_b + 3 * m_b])
-            streams[4].append(u[n_b + 3 * m_b:])
-        self._draws = tuple(
-            parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for parts in streams
-        )
-        self._draw_round = round_number
-        return self._draws
 
-    def _ranks(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        # Delivery happens after validation, so every pair is an edge and
-        # the binary search is exact.
-        return np.searchsorted(
-            self.edge_keys,
-            senders.astype(np.int64, copy=False) * self.n + receivers,
-        )
+        if len(blocks) == self.trials:
+            parts = [draw(t) for t in blocks]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out = np.zeros(int(offsets[-1]), dtype=np.float64)
+        for t in blocks:
+            out[offsets[t]:offsets[t + 1]] = draw(t)
+        return out
+
+    def _fate(self, round_number, knob, ranks):
+        """Per-message ``u < rate`` decisions for ``knob``, or ``None``
+        when no block reads its segment (every decision is False)."""
+        u = self._uniforms(round_number, knob)
+        if u is None:
+            return None
+        return u[ranks] < getattr(self, f"{knob}_p")[ranks]
 
     def _tally(self, counter: np.ndarray, rows) -> None:
         if self.trials == 1:
             counter[0] += len(rows)
-        else:
-            counter += np.bincount(
-                np.searchsorted(
-                    self.vertex_offsets, rows, side="right"
-                ) - 1,
-                minlength=self.trials,
-            )
+            return
+        trials = (
+            rows // self._block_size if self._block_size
+            else np.searchsorted(self.vertex_offsets, rows, side="right") - 1
+        )
+        counter += np.bincount(trials, minlength=self.trials)
 
     # -- crash-stop ----------------------------------------------------------
     def crash_step(self, round_number: int, eligible: np.ndarray) -> np.ndarray:
         """Draw this round's crashes among ``eligible`` (bool mask over
         all rows: the still-running vertices).  Marks and returns the
         newly crashed rows; the caller halts them on its plane."""
-        crash_u = self._uniforms(round_number)[0]
+        crash_u = self._uniforms(round_number, "crash")
+        if crash_u is None:
+            return np.empty(0, dtype=np.int64)
         rows = np.flatnonzero(eligible & (crash_u < self.crash_p))
         if rows.size:
             self.crashed[rows] = True
@@ -523,59 +578,26 @@ class FaultState:
         self._any_retired = bool(self.retired_rows.any())
 
     # -- columnar delivery ---------------------------------------------------
-    def columnar_step(self, round_number, senders, receivers, columns, var):
+    def columnar_step(self, round_number, senders, receivers, columns, var,
+                      ranks):
         """Apply message fates to one round's concatenated emission
         columns and merge matured delayed traffic.
 
         ``columns`` maps field names to int64 per-message arrays; ``var``
-        maps var-field names to ``(pool, lengths)``.  Returns the same
-        four-tuple, holding the messages to deliver *this* round: matured
-        copies first (send-round order, emission order within), then the
-        round's immediate survivors, minus anything addressed to a
-        crashed vertex.  The receiver sort downstream is stable, so this
-        order is the within-receiver inbox order.
+        maps var-field names to ``(pool, lengths)``; ``ranks`` holds each
+        message's canonical edge rank (the delivery plane already knows
+        it: a unicast's validation position, a broadcast copy's
+        ``slot_rank``).  Returns the same four-tuple, holding the
+        messages to deliver *this* round: matured copies first
+        (send-round order, emission order within), then the round's
+        immediate survivors, minus anything addressed to a crashed
+        vertex.  The receiver sort downstream is stable, so this order
+        is the within-receiver inbox order.
         """
-        _crash_u, drop_u, dup_u, delay_u, corrupt_u = self._uniforms(
-            round_number
-        )
         if len(senders):
-            ranks = self._ranks(senders, receivers)
-            corrupt_mask = corrupt_u[ranks] < self.corrupt_p[ranks]
-            drop_mask = drop_u[ranks] < self.drop_p[ranks]
-            dup_mask = dup_u[ranks] < self.dup_p[ranks]
-            if self.budget_blocks.any():
-                self._budget_override(
-                    ranks, senders, corrupt_mask, drop_mask, dup_mask
-                )
-            if corrupt_mask.any():
-                self._tally(self.corrupted, senders[corrupt_mask])
-                columns, var = self._corrupt_columns(
-                    corrupt_mask, columns, var
-                )
-            if drop_mask.any():
-                self._tally(self.dropped, senders[drop_mask])
-            keep = np.flatnonzero(~drop_mask)
-            extra = dup_mask[keep]
-            if extra.any():
-                self._tally(self.duplicated, senders[keep[extra]])
-            # One original-message index per copy; duplicates adjacent.
-            sel = np.repeat(keep, extra.astype(np.int64) + 1)
-            copy_ranks = ranks[sel]
-            delays = (
-                delay_u[copy_ranks] * self.delay_span[copy_ranks]
-            ).astype(np.int64)
-            future = delays > 0
-            if future.any():
-                self._tally(self.delayed, senders[sel[future]])
-                future_sel = sel[future]
-                arrivals = round_number + delays[future]
-                for arrival in sorted_unique(arrivals):
-                    pick = future_sel[arrivals == arrival]
-                    self._buffer.setdefault(int(arrival), []).append(
-                        self._take(senders, receivers, columns, var, pick)
-                    )
-                sel = sel[~future]
-            fresh = self._take(senders, receivers, columns, var, sel)
+            fresh = self._apply_fates(
+                round_number, senders, receivers, columns, var, ranks
+            )
         else:
             fresh = (senders, receivers, columns, var)
         parts = self._buffer.pop(round_number, [])
@@ -602,7 +624,7 @@ class FaultState:
                 senders, receivers, columns, var = self._take(
                     senders, receivers, columns, var, np.flatnonzero(~stale)
                 )
-        if len(receivers):
+        if self._live["crash"] and len(receivers):
             dead = self.crashed[receivers]
             if dead.any():
                 self._tally(self.dropped, receivers[dead])
@@ -610,6 +632,70 @@ class FaultState:
                     senders, receivers, columns, var, np.flatnonzero(~dead)
                 )
         return senders, receivers, columns, var
+
+    def _apply_fates(self, round_number, senders, receivers, columns, var,
+                     ranks):
+        """Corrupt, drop, duplicate and delay one round's fresh messages;
+        buffer the delayed copies and return the immediate ones.  A knob
+        no block reads costs nothing: its mask is never built."""
+        corrupt_mask = self._fate(round_number, "corrupt", ranks)
+        drop_mask = self._fate(round_number, "drop", ranks)
+        dup_mask = self._fate(round_number, "dup", ranks)
+        if self.budget_blocks.any():
+            corrupt_mask, drop_mask, dup_mask = (
+                np.zeros(len(ranks), dtype=bool) if mask is None else mask
+                for mask in (corrupt_mask, drop_mask, dup_mask)
+            )
+            self._budget_override(
+                ranks, senders, corrupt_mask, drop_mask, dup_mask
+            )
+        if corrupt_mask is not None and corrupt_mask.any():
+            self._tally(self.corrupted, senders[corrupt_mask])
+            columns, var = self._corrupt_columns(corrupt_mask, columns, var)
+        # One original-message index per copy (duplicates adjacent);
+        # None while every message is still exactly one copy, in order.
+        sel = None
+        if drop_mask is not None and drop_mask.any():
+            self._tally(self.dropped, senders[drop_mask])
+            sel = np.flatnonzero(~drop_mask)
+        if dup_mask is not None:
+            extra = dup_mask if sel is None else dup_mask[sel]
+            if extra.any():
+                if sel is None:
+                    sel = np.arange(len(senders))
+                self._tally(self.duplicated, senders[sel[extra]])
+                sel = np.repeat(sel, extra.astype(np.int64) + 1)
+        delay_u = self._uniforms(round_number, "delay")
+        if delay_u is not None:
+            copy_ranks = ranks if sel is None else ranks[sel]
+            delays = (
+                delay_u[copy_ranks] * self.delay_span[copy_ranks]
+            ).astype(np.int64)
+            counts = np.bincount(delays)
+            if len(counts) > 1:
+                # Order the copies by delay (stably: emission order within
+                # one delay), take them once, and hand out one slice per
+                # arrival round: delay 0 is this round's delivery.
+                from repro.congest.columnar import _stable_receiver_order
+
+                order = _stable_receiver_order(delays, len(counts))
+                batch = self._take(
+                    senders, receivers, columns, var,
+                    order if sel is None else sel[order],
+                )
+                bounds = _cumsum0(counts).tolist()
+                self._tally(self.delayed, batch[0][bounds[1]:])
+                for delay in range(1, len(counts)):
+                    if counts[delay]:
+                        self._buffer.setdefault(
+                            round_number + delay, []
+                        ).append(self._slice(
+                            batch, bounds[delay], bounds[delay + 1]
+                        ))
+                return self._slice(batch, 0, bounds[1])
+        if sel is None:
+            return senders, receivers, columns, var
+        return self._take(senders, receivers, columns, var, sel)
 
     @staticmethod
     def _take(senders, receivers, columns, var, idx):
@@ -629,6 +715,23 @@ class FaultState:
             receivers[idx],
             {name: column[idx] for name, column in columns.items()},
             taken_var,
+        )
+
+    @staticmethod
+    def _slice(batch, lo, hi):
+        """Messages ``lo … hi - 1`` of a batch, as views."""
+        senders, receivers, columns, var = batch
+        sliced_var = {}
+        for name, (pool, lengths) in var.items():
+            starts = _cumsum0(lengths)
+            sliced_var[name] = (
+                pool[starts[lo]:starts[hi]], lengths[lo:hi]
+            )
+        return (
+            senders[lo:hi],
+            receivers[lo:hi],
+            {name: column[lo:hi] for name, column in columns.items()},
+            sliced_var,
         )
 
     # -- Byzantine corruption ------------------------------------------------
@@ -699,20 +802,35 @@ class FaultState:
         dead receivers discarded — for the caller to write into its
         inboxes in order.
         """
-        _crash_u, drop_u, dup_u, delay_u, corrupt_u = self._uniforms(
-            round_number
+        count = len(fresh)
+        if count:
+            pairs = np.array(
+                [(item[0], item[1]) for item in fresh], dtype=np.int64
+            )
+            # Single-trial seam: block 0's keys are the shared ranking.
+            ranks = np.searchsorted(
+                delivery_plane(self._topologies[0]).edge_keys,
+                pairs[:, 0] * self.n + pairs[:, 1],
+            )
+        else:
+            ranks = np.empty(0, dtype=np.int64)
+        fates = []
+        for knob in ("corrupt", "drop", "dup"):
+            mask = self._fate(round_number, knob, ranks)
+            fates.append([False] * count if mask is None else mask.tolist())
+        corrupt, dropf, dupf = fates
+        delay_u = self._uniforms(round_number, "delay")
+        delays = (
+            [0] * count if delay_u is None
+            else (delay_u[ranks] * self.delay_span[ranks]).astype(
+                np.int64
+            ).tolist()
         )
-        rank_of = self._edge_rank_dict()
-        span = self.delay_span
-        ranks = [rank_of[(item[0], item[1])] for item in fresh]
-        corrupt = [corrupt_u[r] < self.corrupt_p[r] for r in ranks]
-        dropf = [drop_u[r] < self.drop_p[r] for r in ranks]
-        dupf = [dup_u[r] < self.dup_p[r] for r in ranks]
+        ranks = ranks.tolist()
         if fresh and self.budget_blocks.any():
             self._object_budget_override(ranks, fresh, corrupt, dropf, dupf)
         now = self._pending.pop(round_number, [])
         for k, item in enumerate(fresh):
-            rank = ranks[k]
             if corrupt[k]:
                 self.corrupted[0] += 1
                 item = (item[0], item[1], _corrupt_payload(item[2]))
@@ -722,7 +840,7 @@ class FaultState:
             copies = 2 if dupf[k] else 1
             if copies == 2:
                 self.duplicated[0] += 1
-            delay = int(delay_u[rank] * span[rank])
+            delay = delays[k]
             sink = (
                 now if delay == 0
                 else self._pending.setdefault(round_number + delay, [])
@@ -765,16 +883,6 @@ class FaultState:
         if plan.dup and survivors:
             for k in survivors[:math.ceil(plan.dup * len(survivors))]:
                 dupf[k] = True
-
-    def _edge_rank_dict(self) -> dict:
-        table = self._rank_dict
-        if table is None:
-            n = self.n
-            table = self._rank_dict = {
-                (int(key) // n, int(key) % n): rank
-                for rank, key in enumerate(self.edge_keys.tolist())
-            }
-        return table
 
     # -- reporting -----------------------------------------------------------
     def crashed_vertices(self, trial: int) -> tuple:

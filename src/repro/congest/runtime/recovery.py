@@ -60,7 +60,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.congest.columnar import ColumnarAlgorithm, ColumnarInbox
+from repro.congest.columnar import (
+    ColumnarAlgorithm,
+    ColumnarInbox,
+    _ragged_index,
+)
 from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.network import NodeAlgorithm
 
@@ -250,16 +254,16 @@ class ColumnarReliable(ColumnarAlgorithm):
     def setup(self, ctx) -> None:
         n = ctx.n
         self.n = n
-        degrees = np.asarray(ctx.degrees, dtype=np.int64)
-        edge_senders = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        self._edge_keys = np.sort(edge_senders * n + ctx.indices)
-        edges = len(self._edge_keys)
+        # Flags are indexed by canonical edge rank, the ranking of the
+        # topology's cached edge-key table (see columnar.slot_ranks).
+        self._plane = ctx._plane
+        edges = len(ctx.indices)
         self._accepted_edge = np.zeros(edges, dtype=bool)
         self._acked_edge = np.zeros(edges, dtype=bool)
+        self._ack_edge = np.zeros(edges, dtype=bool)  # acks owed, by rank
         self._inner_halted = np.zeros(n, dtype=bool)
         self._out = None              # (senders, receivers, cols, sums, ranks)
         self._window_parts: list = [] # accepted (senders, receivers, cols)
-        self._ack_pending: set = set()  # ack-direction edge ranks
         self._logical_inbox = ColumnarInbox.empty(n, self.inner.spec)
         real_spec, real_inbox = ctx._spec, ctx.inbox
         ctx._spec = self.inner.spec
@@ -324,21 +328,17 @@ class ColumnarReliable(ColumnarAlgorithm):
         self._out = None
         if not captured:
             return
-        parts_s, parts_r, parts_c = [], [], []
+        parts_s, parts_r, parts_c, parts_k = [], [], [], []
         indptr, indices = ctx.indptr, ctx.indices
         degrees = np.asarray(ctx.degrees, dtype=np.int64)
+        plane = self._plane
         for senders, receivers, columns, _var in captured:
             if receivers is None:
                 counts = degrees[senders]
-                total = int(counts.sum())
-                offsets = _cumsum0(counts)
-                pos = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(offsets[:-1], counts)
-                    + np.repeat(indptr[senders], counts)
-                )
+                pos = _ragged_index(indptr[senders], counts)  # CSR slots
                 parts_s.append(np.repeat(senders, counts))
                 parts_r.append(indices[pos])
+                parts_k.append(plane.slot_rank[pos])
                 parts_c.append({
                     name: np.repeat(column, counts)
                     for name, column in columns.items()
@@ -346,21 +346,23 @@ class ColumnarReliable(ColumnarAlgorithm):
             else:
                 parts_s.append(senders)
                 parts_r.append(receivers)
+                parts_k.append(np.searchsorted(
+                    plane.edge_keys,
+                    senders.astype(np.int64, copy=False) * self.n + receivers,
+                ))
                 parts_c.append(columns)
         if len(parts_s) == 1:
             out_s, out_r, out_c = parts_s[0], parts_r[0], parts_c[0]
+            ranks = parts_k[0]
         else:
             out_s = np.concatenate(parts_s)
             out_r = np.concatenate(parts_r)
+            ranks = np.concatenate(parts_k)
             out_c = {
                 name: np.concatenate([part[name] for part in parts_c])
                 for name in parts_c[0]
             }
         sums = self._checksums(out_c)
-        ranks = np.searchsorted(
-            self._edge_keys,
-            out_s.astype(np.int64, copy=False) * self.n + out_r,
-        )
         self._acked_edge[ranks] = False  # lazily clear prior windows
         self._out = (out_s, out_r, out_c, sums, ranks)
 
@@ -383,51 +385,43 @@ class ColumnarReliable(ColumnarAlgorithm):
         inbox = ctx.inbox
         senders = inbox.senders
         receivers = inbox.receivers()
-        rkind = inbox.column("rkind").astype(np.int64)
-        rseq = inbox.column("rseq").astype(np.int64)
-        current = rseq == seq
-        acks = current & (rkind == 1)
-        if acks.any():
-            data_keys = (
-                receivers[acks].astype(np.int64, copy=False) * self.n
-                + senders[acks]
-            )
-            self._acked_edge[
-                np.searchsorted(self._edge_keys, data_keys)
-            ] = True
-        data = np.flatnonzero(current & (rkind == 0))
+        current = np.flatnonzero(inbox.column("rseq") == seq)
+        if not current.size:
+            return
+        # One search over the current-seq rows, receiver-major: the rank
+        # of (receiver, sender) is an ack's data edge and a data
+        # message's ack edge.  It also keys the accepted flags: each
+        # directed edge has exactly one reverse, so it names the data
+        # edge as uniquely as the data edge's own rank would.
+        back = np.searchsorted(
+            self._plane.edge_keys,
+            receivers[current].astype(np.int64, copy=False) * self.n
+            + senders[current],
+        )
+        kind = inbox.column("rkind")[current]
+        self._acked_edge[back[kind == 1]] = True
+        is_data = kind == 0
+        data = current[is_data]
         if not data.size:
             return
-        ranks = np.searchsorted(
-            self._edge_keys,
-            senders[data].astype(np.int64, copy=False) * self.n
-            + receivers[data],
-        )
+        back = back[is_data]
         # Every current-seq data message earns an ack (a redelivery
         # means our previous ack was lost), but only checksum-valid
         # first copies are accepted.
         inner_cols = {
-            name: inbox.column(name).astype(np.int64)[data]
+            name: inbox.column(name)[data].astype(np.int64)
             for name in self.inner.spec.names
         }
-        valid = self._checksums(inner_cols) == inbox.column(
-            "rsum"
-        ).astype(np.int64)[data]
-        ack_keys = (
-            receivers[data[valid]].astype(np.int64, copy=False) * self.n
-            + senders[data[valid]]
-        )
-        self._ack_pending.update(
-            np.searchsorted(self._edge_keys, ack_keys).tolist()
-        )
-        fresh = valid & ~self._accepted_edge[ranks]
+        valid = self._checksums(inner_cols) == inbox.column("rsum")[data]
+        self._ack_edge[back[valid]] = True
+        fresh = valid & ~self._accepted_edge[back]
         if not fresh.any():
             return
         # Within-round duplicates: keep the first copy per edge.
         idx = np.flatnonzero(fresh)
-        _unique, first = np.unique(ranks[idx], return_index=True)
+        _unique, first = np.unique(back[idx], return_index=True)
         idx = idx[np.sort(first)]
-        self._accepted_edge[ranks[idx]] = True
+        self._accepted_edge[back[idx]] = True
         pick = data[idx]
         self._window_parts.append((
             senders[pick].copy(),
@@ -454,14 +448,11 @@ class ColumnarReliable(ColumnarAlgorithm):
         ctx._emissions.append((out_s[idx], out_r[idx], columns, {}))
 
     def _send_acks(self, ctx, seq: int) -> None:
-        if not self._ack_pending:
+        ranks = np.flatnonzero(self._ack_edge)  # ascending edge rank
+        if not ranks.size:
             return
-        ranks = np.fromiter(
-            sorted(self._ack_pending), dtype=np.int64,
-            count=len(self._ack_pending),
-        )
-        self._ack_pending.clear()
-        keys = self._edge_keys[ranks]
+        self._ack_edge[ranks] = False
+        keys = self._plane.edge_keys[ranks]
         senders = keys // self.n
         receivers = keys % self.n
         live = ~ctx.halted[senders]
@@ -485,7 +476,7 @@ class ColumnarReliable(ColumnarAlgorithm):
         parts = self._window_parts
         self._window_parts = []
         self._out = None
-        self._ack_pending.clear()
+        self._ack_edge[:] = False
         inner_spec = self.inner.spec
         if parts:
             senders = np.concatenate([part[0] for part in parts])

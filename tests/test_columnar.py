@@ -99,6 +99,9 @@ class TestColumnarSpec:
     def test_bit_length_matches_python(self):
         values = list(range(70)) + [2**k + d for k in range(8, 62, 7)
                                     for d in (-1, 0, 1)]
+        # Every power-of-two boundary, and the largest int64.
+        values += [2**k + d for k in range(1, 63) for d in (-1, 0)]
+        values.append(2**63 - 1)
         got = bit_length_array(np.array(values, dtype=np.int64))
         assert got.tolist() == [v.bit_length() for v in values]
 

@@ -26,8 +26,14 @@ from repro.congest import (
     check_mis,
 )
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
-from repro.congest.runtime.compile import compile_topology
-from repro.congest.runtime.faults import FaultState
+from repro.congest.columnar import slot_ranks
+from repro.congest.runtime.compile import (
+    GridTopology,
+    compile_edge_stream,
+    compile_topology,
+    delivery_plane,
+)
+from repro.congest.runtime.faults import FaultState, philox_uniforms
 
 
 def path_state(plan, n=5):
@@ -189,6 +195,139 @@ class TestFaultStateSemantics:
         assert state.crash_step(2, still_running).tolist() == [0, 4]
         assert int(state.crashed_count[0]) == 5
         assert state.crashed_vertices(0) == (1, 2, 3, 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# Live-segment draws: exactly the full per-block stream's slices
+# ---------------------------------------------------------------------------
+def full_stream(seed, round_number, count):
+    return np.random.Generator(
+        np.random.Philox(key=[seed, round_number])
+    ).random(count)
+
+
+class TestSegmentReader:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**63 + 5])
+    @pytest.mark.parametrize("round_number", [1, 977])
+    def test_matches_full_draw_at_every_offset(self, seed, round_number):
+        full = full_stream(seed, round_number, 1100)
+        bit_generator = np.random.Philox()  # reused, re-keyed per call
+        for offset in range(1032):
+            for count in (0, 1, 5, 64):
+                got = philox_uniforms(
+                    bit_generator, seed, round_number, offset, count
+                )
+                assert got.dtype == np.float64
+                assert np.array_equal(got, full[offset:offset + count])
+
+    # (plan, graph): block sizes put the live segments' offsets at every
+    # residue mod 4; one block has no vertices, one has no edges, one is
+    # a zero plan and one a budget adversary.
+    BLOCKS = [
+        (FaultPlan(seed=3, drop=0.2, delay=2), nx.path_graph(5)),
+        (FaultPlan(seed=4, crash=0.5, dup=0.3), nx.empty_graph(3)),
+        (FaultPlan(seed=5, crash=0.2, drop=0.3, dup=0.2, delay=1,
+                   corrupt=0.1, target="budget"), nx.star_graph(4)),
+        (FaultPlan(seed=6, crash=0.1, drop=0.1, dup=0.1, delay=3,
+                   corrupt=0.1), nx.cycle_graph(7)),
+        (FaultPlan(seed=8), nx.path_graph(6)),
+        (FaultPlan(seed=9, dup=0.5, delay=1, corrupt=0.5), nx.path_graph(6)),
+        (FaultPlan(seed=10, crash=0.3, drop=0.3), nx.Graph()),
+    ]
+    # Which blocks read which segment: a knob's rate must be non-zero,
+    # the block must have rows for it, and a budget block picks its
+    # drop/dup/corrupt fates from traffic, not draws.
+    LIVE = {
+        "crash": [1, 2, 3],
+        "drop": [0, 3],
+        "dup": [3, 5],
+        "delay": [0, 2, 3, 5],
+        "corrupt": [3, 5],
+    }
+
+    def test_fault_state_reads_exactly_the_live_segments(self):
+        blocks = [(plan, compile_topology(graph))
+                  for plan, graph in self.BLOCKS]
+        state = FaultState(blocks)
+        residues = set()
+        for round_number in (1, 2, 5):
+            crash_u = state._uniforms(round_number, "crash")
+            edge_u = {knob: state._uniforms(round_number, knob)
+                      for knob in ("drop", "dup", "delay", "corrupt")}
+            for t, (plan, topology) in enumerate(blocks):
+                n, m = topology.n, len(topology.indices)
+                full = full_stream(plan.seed, round_number, n + 4 * m)
+                lo, hi = state.vertex_offsets[t], state.vertex_offsets[t + 1]
+                want = full[:n] if t in self.LIVE["crash"] else np.zeros(n)
+                assert np.array_equal(crash_u[lo:hi], want)
+                lo, hi = state.edge_offsets[t], state.edge_offsets[t + 1]
+                for i, knob in enumerate(("drop", "dup", "delay", "corrupt")):
+                    start = n + i * m
+                    if t in self.LIVE[knob]:
+                        residues.add(start % 4)
+                        want = full[start:start + m]
+                    else:
+                        want = np.zeros(m)
+                    assert np.array_equal(edge_u[knob][lo:hi], want), (
+                        t, knob)
+        assert state._live == self.LIVE
+        assert residues == {0, 1, 2, 3}
+
+    def test_single_block_dead_knobs_draw_nothing(self):
+        state = path_state(FaultPlan(seed=2, drop=0.5))
+        assert state._uniforms(1, "dup") is None
+        assert state._uniforms(1, "delay") is None
+        assert state.crash_step(1, np.ones(5, dtype=bool)).size == 0
+        assert np.array_equal(
+            state._uniforms(1, "drop"), full_stream(2, 1, 5 + 32)[5:13]
+        )
+
+
+# ---------------------------------------------------------------------------
+# Slot ranks: one table per topology, lazy, composed on grids
+# ---------------------------------------------------------------------------
+class TestSlotRanks:
+    @staticmethod
+    def check(plane, indptr, indices):
+        n = len(indptr) - 1
+        senders = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.array_equal(
+            plane.edge_keys[plane.slot_rank], senders * n + indices
+        )
+
+    def test_table_is_lazy_and_cached(self):
+        plane = compile_topology(nx.petersen_graph()).columnar_plane()
+        assert not hasattr(plane, "_slot_rank")
+        slot_rank = plane.slot_rank
+        assert plane.slot_rank is slot_rank
+
+    def test_compiled_and_stream_planes(self):
+        topology = compile_topology(nx.random_regular_graph(3, 12, seed=1))
+        self.check(
+            topology.columnar_plane(), topology.indptr, topology.indices
+        )
+        edges = np.array([[0, 5], [5, 2], [2, 9], [9, 0], [3, 4]])
+        stream = compile_edge_stream([edges], 10)
+        assert not hasattr(stream.columnar_plane(), "_slot_rank")
+        self.check(stream.columnar_plane(), stream.indptr, stream.indices)
+
+    def test_grid_composes_block_tables(self):
+        blocks = [
+            compile_topology(graph) for graph in (
+                nx.cycle_graph(5), nx.empty_graph(2), nx.star_graph(3),
+                nx.petersen_graph(),
+            )
+        ]
+        grid = GridTopology(blocks)
+        self.check(grid.plane, grid.indptr, grid.indices)
+        assert np.array_equal(
+            grid.plane.slot_rank,
+            slot_ranks(grid.indptr, grid.indices, grid.plane.edge_keys),
+        )
+        # The blocks' own tables were built (and cached) to compose it.
+        assert all(
+            hasattr(delivery_plane(block), "_slot_rank") for block in blocks
+        )
 
 
 # ---------------------------------------------------------------------------

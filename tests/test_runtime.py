@@ -272,8 +272,8 @@ def test_every_registered_plane_runs_var_columns_differentially(name):
 # ---------------------------------------------------------------------------
 # Fault injection: every registered plane, enforced like the differentials
 # ---------------------------------------------------------------------------
-# The keystone property (runtime/faults.py): a zero-rate FaultPlan runs
-# the full fault machinery yet must be *byte-identical* — outputs and
+# The keystone property (runtime/faults.py): a zero-rate FaultPlan goes
+# through every fault seam yet must be *byte-identical* — outputs and
 # every metrics field — to running with no plan at all.  And a faulty
 # plan must produce identical outputs and fault counters on every plane
 # of a family.  Both are enforced for every registered plane: a plane

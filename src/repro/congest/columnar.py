@@ -963,14 +963,11 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             deg = degrees[senders]
             if not deg.any():
                 continue
-            if rank_parts is None:
-                message_receivers = _ragged_gather(
-                    indices, indptr[senders], deg
-                )
-            else:
-                slots = _ragged_index(indptr[senders], deg)
-                message_receivers = indices[slots]
+            slots = _ragged_index(indptr[senders], deg)
+            message_receivers = indices[slots]
+            if rank_parts is not None:
                 rank_parts.append(plane.slot_rank[slots])
+            del slots
             message_senders = np.repeat(senders, deg)
             message_columns = {
                 name: np.repeat(columns[name], deg) for name in names

@@ -363,9 +363,6 @@ class FaultState:
         )
         self.vertex_offsets = _cumsum0(sizes)
         self.n = int(self.vertex_offsets[-1])
-        # Same-size blocks (seed sweeps over one graph) find a row's
-        # trial by division; uneven ones binary-search the offsets.
-        self._block_size = int(sizes[0]) if (sizes == sizes[0]).all() else 0
         # Canonical directed-edge ranks: block t's edges are ranked by
         # its plane's sorted (sender * n + receiver) keys, shifted by its
         # edge offset.  On a grid the block key ranges are disjoint and
@@ -542,12 +539,13 @@ class FaultState:
     def _tally(self, counter: np.ndarray, rows) -> None:
         if self.trials == 1:
             counter[0] += len(rows)
-            return
-        trials = (
-            rows // self._block_size if self._block_size
-            else np.searchsorted(self.vertex_offsets, rows, side="right") - 1
-        )
-        counter += np.bincount(trials, minlength=self.trials)
+        else:
+            counter += np.bincount(
+                np.searchsorted(
+                    self.vertex_offsets, rows, side="right"
+                ) - 1,
+                minlength=self.trials,
+            )
 
     # -- crash-stop ----------------------------------------------------------
     def crash_step(self, round_number: int, eligible: np.ndarray) -> np.ndarray:
